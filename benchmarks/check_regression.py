@@ -23,6 +23,10 @@ a tracked quality metric regressed by more than the tolerance:
   to in-process runs and repeated requests must draw zero samples (both
   unconditional); the warm/cold latency ratio gates against a fixed 0.75
   ceiling.
+* **ICP paving** (``BENCH_icp.json``) — every paving must stay bit-identical
+  to the golden pavings and no paving may hit the solver's time budget (both
+  unconditional); per-subject paving seconds must not exceed
+  ``baseline × 1.5 + 0.05 s``.
 
 Families whose fresh file was not produced this run, or whose baseline does
 not exist at ``HEAD`` yet (a newly introduced family), are skipped with a
@@ -77,6 +81,12 @@ OBSERVABILITY_OVERHEAD_CEILING = 1.05
 #: (``BENCH_serve.json``): a repeated request answered from the store must
 #: cost well under a cold sampling run, or the service's economics are gone.
 SERVE_WARM_RATIO_CEILING = 0.75
+
+#: Relative tolerance and absolute slack on per-subject ICP paving seconds
+#: (lower is better).  Loose because they are wall-clock timings on shared
+#: runners; bit identity is the hard gate of that family.
+ICP_SECONDS_TOLERANCE = 0.50
+ICP_SECONDS_SLACK = 0.05
 
 #: Environment variable that downgrades failures to warnings.
 OVERRIDE_ENV = "QCORAL_BENCH_ALLOW_REGRESSION"
@@ -308,6 +318,36 @@ def compare_serve(family: str, baseline: dict, fresh: dict) -> List[Finding]:
     return findings
 
 
+def compare_icp(family: str, baseline: dict, fresh: dict) -> List[Finding]:
+    """ICP paving summary: bit identity and time-budget hits hard, seconds soft.
+
+    ``bit_identical`` (every paving equals ``tests/data/paving_golden.json``)
+    and ``time_budget_hits`` (0: no paving depended on machine speed) are
+    properties of the fresh run alone.  Per-subject paving seconds gate
+    against the committed baseline with a relative ceiling plus slack.
+    """
+    findings: List[Finding] = []
+    payload = fresh.get("icp", {})
+    if not payload:
+        return findings
+    bit_identical = bool(payload.get("bit_identical"))
+    findings.append(Finding(family, "bit_identical", 1.0, float(bit_identical), not bit_identical))
+    hits = float(payload.get("time_budget_hits", 0))
+    findings.append(Finding(family, "time_budget_hits", 0.0, hits, hits > 0))
+    base_rows = {row["subject"]: row for row in baseline.get("icp", {}).get("subjects", [])}
+    for row in payload.get("subjects", []):
+        base_row = base_rows.get(row["subject"])
+        if base_row is None:
+            continue
+        base_seconds = float(base_row["pave_seconds"])
+        fresh_seconds = float(row["pave_seconds"])
+        ceiling = base_seconds * (1.0 + ICP_SECONDS_TOLERANCE) + ICP_SECONDS_SLACK
+        findings.append(
+            Finding(family, f"{row['subject']} pave_seconds", base_seconds, fresh_seconds, fresh_seconds > ceiling)
+        )
+    return findings
+
+
 #: Benchmark families and the comparator handling each.
 FAMILIES = (
     ("BENCH_adaptive.json", lambda b, f: compare_sigma_ratios("adaptive", b, f, "adaptive_allocation")),
@@ -317,6 +357,7 @@ FAMILIES = (
     ("BENCH_kernels.json", lambda b, f: compare_kernels("kernels", b, f)),
     ("BENCH_observability.json", lambda b, f: compare_observability("observability", b, f)),
     ("BENCH_serve.json", lambda b, f: compare_serve("serve", b, f)),
+    ("BENCH_icp.json", lambda b, f: compare_icp("icp", b, f)),
 )
 
 

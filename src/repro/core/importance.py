@@ -67,8 +67,7 @@ from repro.core.profiles import UsageProfile
 from repro.core.stratified import StratifiedResult, StratifiedSampler, Stratum
 from repro.errors import AnalysisError, ConfigurationError
 from repro.icp.config import ICPConfig, PAPER_CONFIG
-from repro.icp.contractor import contract
-from repro.icp.hc4 import constraint_certainly_holds
+from repro.icp.contractor import Contractor
 from repro.icp.solver import ICPSolver, PavedBox, Paving
 from repro.intervals.box import Box
 from repro.intervals.interval import Interval
@@ -131,6 +130,7 @@ class ImportanceSampler(StratifiedSampler):
             raise ConfigurationError("adaptive split budget may not be negative")
         self._max_boxes = max_boxes
         self._adaptive_remaining = adaptive_splits
+        self._contractor: Optional[Contractor] = None
         self._discarded_samples = 0
         super().__init__(
             pc,
@@ -206,15 +206,16 @@ class ImportanceSampler(StratifiedSampler):
         # certification over discrete variables must clear the boundary with
         # no floating-point slack (same rule the paving solver applies).
         strict = bool(self._integer_names)
+        if self._contractor is None:
+            # Compiled once per sampler: every stratum box shares the
+            # paving's variable order.
+            self._contractor = Contractor(self._pc, paved.box.variables, self._icp_config)
         children: List[PavedBox] = []
         for half in paved.box.split(name, at):
-            contracted = contract(self._pc, half, self._icp_config)
+            contracted = self._contractor.contract(half)
             if contracted is None:
                 continue
-            inner = all(
-                constraint_certainly_holds(constraint, contracted, strict)
-                for constraint in self._pc.constraints
-            )
+            inner = self._contractor.certainly_holds(contracted, strict)
             children.append(PavedBox(contracted, inner=inner))
         return children
 

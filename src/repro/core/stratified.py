@@ -329,6 +329,10 @@ class StratifiedSampler:
             self._obs.count("icp_contraction_passes_total", paving.contraction_passes)
         else:
             paving = icp_solver.pave(pc, domain, integer_variables=self._integer_names)
+        if paving.timed_out:
+            # Counted only when it happens, so runs that pave within budget
+            # keep byte-identical metric snapshots.
+            self._obs.count("icp_time_budget_hits_total")
 
         if paving.is_unsatisfiable():
             self._exact = Estimate.zero()

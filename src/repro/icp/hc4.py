@@ -1,127 +1,48 @@
-"""HC4-revise: forward interval evaluation and backward constraint projection.
+"""HC4-revise, compiled into flat sweeps over float bounds.
 
-The HC4 algorithm (Benhamou et al.) contracts a box with respect to a single
-constraint in two sweeps over the expression tree:
-
-* the **forward** sweep computes an interval enclosure for every node given
-  the current variable domains;
-* the **backward** sweep pushes the constraint's feasible output range back
-  down the tree, narrowing the node enclosures and ultimately the variable
-  domains.
-
-Every projection implemented here is *conservative*: when the exact inverse
-image is expensive to compute (periodic functions, ``atan2``, ``min``/``max``)
-the projection simply leaves the operand enclosure unchanged, which never
-removes a solution.  This matches the paper's soundness requirement — the
-union of reported boxes must contain all solutions.
+HC4 (Benhamou et al.) contracts a box against one constraint in two sweeps:
+the **forward** sweep encloses every node of ``left - right`` over the box,
+the **backward** sweep pushes the feasible range back down to the variables.
+:class:`HC4Program` flattens a constraint once, for a fixed variable order,
+into a post-order list of forward ops and a pre-order list of backward ops
+over node slots (the ``e * e`` square test is decided then); both sweeps run
+over lists of lower and upper bounds, and a box is two such lists.  They use
+the bound formulas behind :class:`~repro.intervals.interval.Interval`'s own
+operators in the same operand order, and stop at the first empty enclosure in
+the order of a recursive walk, so results are bit-identical to interval
+objects.  Every projection is *conservative*: where the exact inverse image is
+expensive (periodic functions, ``atan2``, ``min``/``max``) the operand keeps
+its enclosure, so no solution is ever removed — the union of reported boxes
+must contain all solutions.
 """
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ICPError
 from repro.intervals.box import Box
-from repro.intervals.functions import (
-    apply_function,
-    integer_power,
-    interval_exp,
-    interval_log,
-    interval_tan,
+from repro.intervals.functions import apply_function, integer_root, interval_exp, interval_log, interval_tan
+from repro.intervals.interval import (
+    Interval,
+    add_bounds,
+    div_bounds,
+    meet_bounds,
+    mul_bounds,
+    neg_bounds,
+    sqr_bounds,
+    sub_bounds,
 )
-from repro.intervals.interval import EMPTY, ENTIRE, Interval
 from repro.lang import ast
+
+_INF = math.inf
+_NINF = -math.inf
 
 #: Feasible range of ``left - right`` for each comparison operator.  Strict and
 #: non-strict inequalities share the same closed range: the boundary has zero
 #: measure, and including it keeps the enclosure sound.
-_RELATION_RANGES: Dict[str, Interval] = {
-    "<=": Interval(-math.inf, 0.0),
-    "<": Interval(-math.inf, 0.0),
-    ">=": Interval(0.0, math.inf),
-    ">": Interval(0.0, math.inf),
-    "==": Interval(0.0, 0.0),
-    "!=": ENTIRE,
-}
-
-
-@dataclass
-class _Node:
-    """Mutable evaluation-tree node used by the two HC4 sweeps."""
-
-    expression: ast.Expression
-    children: List["_Node"] = field(default_factory=list)
-    value: Interval = ENTIRE
-
-
-def relation_range(operator: str) -> Interval:
-    """Feasible interval of ``left - right`` for a comparison operator."""
-    try:
-        return _RELATION_RANGES[operator]
-    except KeyError as exc:
-        raise ICPError(f"unsupported comparison operator {operator!r}") from exc
-
-
-# --------------------------------------------------------------------------- #
-# Forward sweep
-# --------------------------------------------------------------------------- #
-def _build_tree(expression: ast.Expression) -> _Node:
-    return _Node(expression, [_build_tree(child) for child in expression.children()])
-
-
-def _forward(node: _Node, box: Box) -> Interval:
-    expression = node.expression
-    for child in node.children:
-        _forward(child, box)
-
-    if isinstance(expression, ast.Constant):
-        node.value = Interval.point(expression.value)
-    elif isinstance(expression, ast.Variable):
-        node.value = box.interval(expression.name) if expression.name in box else ENTIRE
-    elif isinstance(expression, ast.UnaryOp):
-        node.value = -node.children[0].value
-    elif isinstance(expression, ast.BinaryOp):
-        left = node.children[0].value
-        right = node.children[1].value
-        if expression.operator == "*" and _is_square(expression):
-            # ``e * e`` is a square: the tight enclosure avoids the spurious
-            # negative range of the generic product rule.
-            node.value = left.sqr()
-        else:
-            node.value = _forward_binary(expression.operator, left, right)
-    elif isinstance(expression, ast.FunctionCall):
-        arguments = [child.value for child in node.children]
-        node.value = apply_function(expression.name, arguments)
-    else:  # pragma: no cover - defensive
-        raise ICPError(f"cannot evaluate node of type {type(expression).__name__}")
-    return node.value
-
-
-def _forward_binary(operator: str, left: Interval, right: Interval) -> Interval:
-    if operator == "+":
-        return left + right
-    if operator == "-":
-        return left - right
-    if operator == "*":
-        return left * right
-    if operator == "/":
-        return left / right
-    raise ICPError(f"unknown binary operator {operator!r}")
-
-
-def evaluate_interval(expression: ast.Expression, box: Box) -> Interval:
-    """Interval enclosure of ``expression`` over ``box`` (forward sweep only)."""
-    tree = _build_tree(expression)
-    return _forward(tree, box)
-
-
-def constraint_range(constraint: ast.Constraint, box: Box) -> Interval:
-    """Interval enclosure of ``left - right`` for a constraint over ``box``."""
-    difference = ast.BinaryOp("-", constraint.left, constraint.right)
-    return evaluate_interval(difference, box)
-
+_RELATION_RANGES = {"<=": (_NINF, 0.0), "<": (_NINF, 0.0), ">=": (0.0, _INF), ">": (0.0, _INF)}
+_RELATION_RANGES.update({"==": (0.0, 0.0), "!=": (_NINF, _INF)})
 
 #: Tolerance used when classifying a box as certainly satisfying a constraint.
 #: The outward rounding of interval arithmetic can push an exact boundary a few
@@ -129,6 +50,264 @@ def constraint_range(constraint: ast.Constraint, box: Box) -> Interval:
 #: slack keeps "inner" classification useful without affecting soundness of the
 #: probability estimate beyond floating-point noise.
 _CERTAINTY_TOLERANCE = 1e-12
+
+
+def _project(plo: float, phi: float, olo: float, ohi: float, clo: float, chi: float) -> Tuple[float, float]:
+    """Feasible values of one factor given the product and the other factor.
+
+    When the other factor straddles zero, exact projection would require a
+    union of two intervals; keeping the current enclosure ``(clo, chi)``
+    keeps the contraction conservative.
+    """
+    return (clo, chi) if olo <= 0.0 <= ohi else div_bounds(plo, phi, olo, ohi)
+
+
+# Forward ops are ``(op, slot, a, b)``: a bound formula applied to the child
+# slots ``a`` and ``b`` (None: unary), or a marker below.  Backward ops are
+# ``(code, slot, a, b)``, with ``a``/``b`` the child slots unless noted.
+_VAR = "var"  # forward and backward: ``a`` is the variable's index
+_CALL = "call"  # forward: function ``a`` applied to the child slots ``b``
+_LEAF, _NEG, _ADD, _SUB, _MUL, _DIV, _SQR, _KEEP, _POWI, _INVERT = range(10)
+_BINARY = {"+": (add_bounds, _ADD), "-": (sub_bounds, _SUB), "*": (mul_bounds, _MUL), "/": (div_bounds, _DIV)}
+
+
+def _sqrt_inverse(value: Interval) -> Interval:
+    argument = value.intersect(Interval(0.0, math.inf)).sqr()
+    return argument.hull(Interval.point(0.0)) if argument.is_empty() else argument
+
+
+#: The ``_INVERT`` op's ``b``: the range a function's output must meet (else
+#: the box fails), and the inverse image of it (None: operand kept).
+_INVERSES = {
+    "sqrt": ((_NINF, _INF), _sqrt_inverse),
+    "exp": ((_NINF, _INF), interval_log),
+    "log": ((_NINF, _INF), interval_exp),
+    "abs": ((0.0, _INF), lambda value: Interval(-value.hi, value.hi)),
+    "atan": ((-math.pi / 2, math.pi / 2), interval_tan),
+    "tanh": ((-1.0, 1.0), None),
+    "sin": ((-1.0, 1.0), None),
+    "cos": ((-1.0, 1.0), None),
+}
+
+
+class HC4Program:
+    """One constraint, as ``left - right``, compiled into flat forward and backward sweeps.
+
+    A box is two float lists (lower, upper bounds) indexed like ``variables``;
+    variables it lacks are enclosed by the whole line and never narrowed.  The
+    node enclosures persist between calls: do not share a program between threads.
+    """
+
+    __slots__ = ("_operator", "_relation", "_forward", "_backward", "_lo", "_hi", "_plo", "_phi")
+
+    def __init__(self, constraint: ast.Constraint, variables: Sequence[str]) -> None:
+        self._operator = constraint.operator
+        self._relation = _RELATION_RANGES[constraint.operator]
+        index = {name: position for position, name in enumerate(variables)}
+        lo: List[float] = []
+        hi: List[float] = []
+        forward: List[tuple] = []
+        backward: List[tuple] = []
+
+        def visit(node: ast.Expression) -> int:
+            slot = len(lo)
+            lo.append(_NINF)
+            hi.append(_INF)
+            backward.append((_LEAF, slot, None, None))  # backward ops are in slot order
+            if isinstance(node, ast.Constant):
+                point = Interval.point(node.value)
+                lo[slot], hi[slot] = point.lo, point.hi
+            elif isinstance(node, ast.Variable):
+                if node.name in index:
+                    forward.append((_VAR, slot, index[node.name], None))
+                    backward[slot] = (_VAR, slot, index[node.name], None)
+            elif isinstance(node, ast.UnaryOp):
+                child = visit(node.operand)
+                forward.append((neg_bounds, slot, child, None))
+                backward[slot] = (_NEG, slot, child, None)
+            elif isinstance(node, ast.BinaryOp):
+                left, right = visit(node.left), visit(node.right)
+                if node.operator == "*" and node.left.canonical() == node.right.canonical():
+                    # ``e * e`` is a square: the tight enclosure avoids the
+                    # spurious negative range of the generic product rule.
+                    op, code = sqr_bounds, _SQR
+                elif node.operator in _BINARY:
+                    op, code = _BINARY[node.operator]
+                else:
+                    raise ICPError(f"unknown binary operator {node.operator!r}")
+                forward.append((op, slot, left, None if code == _SQR else right))
+                backward[slot] = (code, slot, left, right)
+            elif isinstance(node, ast.FunctionCall):
+                children = tuple(visit(argument) for argument in node.arguments)
+                forward.append((_CALL, slot, node.name, children))
+                backward[slot] = _function_backward(node, slot, children)
+            else:  # pragma: no cover - defensive
+                raise ICPError(f"cannot evaluate node of type {type(node).__name__}")
+            return slot
+
+        visit(ast.BinaryOp("-", constraint.left, constraint.right))
+        self._forward = tuple(forward)
+        self._backward = tuple(backward)
+        self._lo, self._hi = lo, hi
+        self._plo, self._phi = [0.0] * len(lo), [0.0] * len(lo)
+
+    def enclosure(self, blo: List[float], bhi: List[float]) -> Tuple[float, float]:
+        """Forward sweep: bounds of the root's enclosure over the box ``(blo, bhi)``."""
+        lo, hi = self._lo, self._hi
+        for op, slot, a, b in self._forward:
+            if op is _VAR:
+                lo[slot] = blo[a]
+                hi[slot] = bhi[a]
+            elif op is _CALL:
+                value = apply_function(a, [Interval(lo[child], hi[child]) for child in b])
+                lo[slot] = value.lo
+                hi[slot] = value.hi
+            elif b is None:
+                lo[slot], hi[slot] = op(lo[a], hi[a])
+            else:
+                lo[slot], hi[slot] = op(lo[a], hi[a], lo[b], hi[b])
+        return lo[0], hi[0]
+
+    def certainly_holds(self, blo: List[float], bhi: List[float], strict_boundaries: bool = False) -> bool:
+        """True when every point of the box satisfies the constraint (see :func:`constraint_certainly_holds`)."""
+        return _holds(self._operator, *self.enclosure(blo, bhi), strict_boundaries)
+
+    def revise(self, blo: List[float], bhi: List[float]) -> bool:
+        """HC4-revise the box ``(blo, bhi)`` in place.
+
+        Returns False when the constraint is certainly unsatisfiable over the
+        box; the bounds are then partly narrowed and must be discarded.
+        """
+        lo, hi, plo, phi = self._lo, self._hi, self._plo, self._phi
+        plo[0], phi[0] = meet_bounds(*self.enclosure(blo, bhi), *self._relation)
+        if plo[0] > phi[0]:
+            return False
+        for code, slot, a, b in self._backward:
+            # The node's feasible range: its enclosure met with its projection.
+            vlo, vhi = meet_bounds(lo[slot], hi[slot], plo[slot], phi[slot])
+            if vlo > vhi:
+                return False
+            if code == _LEAF:
+                continue
+            if code is _VAR:
+                vlo, vhi = meet_bounds(blo[a], bhi[a], vlo, vhi)
+                if vlo > vhi:
+                    return False
+                blo[a] = vlo
+                bhi[a] = vhi
+            elif code == _ADD:
+                plo[a], phi[a] = sub_bounds(vlo, vhi, lo[b], hi[b])
+                plo[b], phi[b] = sub_bounds(vlo, vhi, lo[a], hi[a])
+            elif code == _SUB:
+                plo[a], phi[a] = add_bounds(vlo, vhi, lo[b], hi[b])
+                plo[b], phi[b] = sub_bounds(lo[a], hi[a], vlo, vhi)
+            elif code == _MUL:
+                plo[a], phi[a] = _project(vlo, vhi, lo[b], hi[b], lo[a], hi[a])
+                plo[b], phi[b] = _project(vlo, vhi, lo[a], hi[a], lo[b], hi[b])
+            elif code == _DIV:
+                plo[a], phi[a] = mul_bounds(vlo, vhi, lo[b], hi[b])
+                plo[b], phi[b] = _project(lo[a], hi[a], vlo, vhi, lo[b], hi[b])
+            elif code == _SQR:
+                # Invert the square: |e| <= sqrt(max feasible value).
+                vlo, vhi = meet_bounds(vlo, vhi, 0.0, _INF)
+                if vlo > vhi:
+                    return False
+                root = math.sqrt(vhi) * (1.0 + 1e-12) if math.isfinite(vhi) else _INF
+                plo[a], phi[a] = meet_bounds(lo[a], hi[a], -root, root)
+                plo[b], phi[b] = meet_bounds(lo[b], hi[b], -root, root)
+            elif code == _NEG:
+                plo[a] = -vhi
+                phi[a] = -vlo
+            elif code == _KEEP:
+                for child in a:
+                    plo[child] = lo[child]
+                    phi[child] = hi[child]
+            elif code == _POWI:
+                base, exponent = a
+                value = integer_root(Interval(vlo, vhi), Interval(lo[base], hi[base]), b)
+                plo[base], phi[base] = value.lo, value.hi
+                plo[exponent], phi[exponent] = lo[exponent], hi[exponent]
+            else:  # _INVERT
+                (rlo, rhi), inverse = b
+                vlo, vhi = meet_bounds(vlo, vhi, rlo, rhi)
+                if vlo > vhi:
+                    return False
+                if inverse is None:
+                    plo[a], phi[a] = lo[a], hi[a]
+                else:
+                    value = inverse(Interval(vlo, vhi))
+                    plo[a], phi[a] = value.lo, value.hi
+        return True
+
+
+def _function_backward(node: ast.FunctionCall, slot: int, children: Tuple[int, ...]) -> tuple:
+    """The backward op of a function node."""
+    if len(children) == 1 and node.name in _INVERSES:
+        return (_INVERT, slot, children[0], _INVERSES[node.name])
+    if node.name == "pow" and len(children) == 2 and isinstance(node.arguments[1], ast.Constant):
+        if float(node.arguments[1].value).is_integer():
+            return (_POWI, slot, children, int(node.arguments[1].value))
+    # asin, acos, tan, sinh, cosh, log10, atan2, min, max, non-integer pow and
+    # unknown functions: the operand enclosures stay unchanged.
+    return (_KEEP, slot, children, None)
+
+
+def _holds(operator: str, lo: float, hi: float, strict_boundaries: bool) -> bool:
+    """The inner test on the enclosure ``[lo, hi]`` of ``left - right``."""
+    if lo > hi:
+        return False
+    magnitude = abs(hi) if abs(hi) > abs(lo) else abs(lo)
+    # The slack scales with a finite magnitude only: an unbounded enclosure
+    # would otherwise get an infinite slack and pass every test.
+    slack = _CERTAINTY_TOLERANCE * (magnitude if 1.0 < magnitude < _INF else 1.0)
+    if operator == "<":
+        return hi < 0.0 if strict_boundaries else hi <= slack
+    if operator == ">":
+        return lo > 0.0 if strict_boundaries else lo >= -slack
+    if operator == "<=":
+        return hi <= slack
+    if operator == ">=":
+        return lo >= -slack
+    if operator == "==":
+        return magnitude <= slack
+    return not lo <= 0.0 <= hi
+
+
+# One-shot checks: the forward sweep straight over the tree, nothing compiled.
+def _enclose(node: ast.Expression, box: Box) -> Tuple[float, float]:
+    """Bounds of the enclosure of ``node`` over ``box``, in the same order as the compiled sweep."""
+    if isinstance(node, ast.Constant):
+        point = Interval.point(node.value)
+        return point.lo, point.hi
+    if isinstance(node, ast.Variable):
+        return (box.interval(node.name).lo, box.interval(node.name).hi) if node.name in box else (_NINF, _INF)
+    if isinstance(node, ast.UnaryOp):
+        return neg_bounds(*_enclose(node.operand, box))
+    if isinstance(node, ast.BinaryOp):
+        left, right = _enclose(node.left, box), _enclose(node.right, box)
+        if node.operator == "*" and node.left.canonical() == node.right.canonical():
+            return sqr_bounds(*left)
+        if node.operator not in _BINARY:
+            raise ICPError(f"unknown binary operator {node.operator!r}")
+        return _BINARY[node.operator][0](*left, *right)
+    if isinstance(node, ast.FunctionCall):
+        value = apply_function(node.name, [Interval(*_enclose(argument, box)) for argument in node.arguments])
+        return value.lo, value.hi
+    raise ICPError(f"cannot evaluate node of type {type(node).__name__}")  # pragma: no cover - defensive
+
+
+def _difference(constraint: ast.Constraint, box: Box) -> Tuple[float, float]:
+    return sub_bounds(*_enclose(constraint.left, box), *_enclose(constraint.right, box))
+
+
+def evaluate_interval(expression: ast.Expression, box: Box) -> Interval:
+    """Interval enclosure of ``expression`` over ``box`` (forward sweep only)."""
+    return Interval(*_enclose(expression, box))
+
+
+def constraint_range(constraint: ast.Constraint, box: Box) -> Interval:
+    """Interval enclosure of ``left - right`` for a constraint over ``box``."""
+    return Interval(*_difference(constraint, box))
 
 
 def constraint_certainly_holds(constraint: ast.Constraint, box: Box, strict_boundaries: bool = False) -> bool:
@@ -148,218 +327,22 @@ def constraint_certainly_holds(constraint: ast.Constraint, box: Box, strict_boun
     the boundary with no slack (boundary-touching boxes stay undecided and
     get sampled, which is unbiased).
     """
-    value = constraint_range(constraint, box)
-    if value.is_empty():
-        return False
-    slack = _CERTAINTY_TOLERANCE * max(1.0, value.magnitude())
-    if constraint.operator == "<":
-        return value.hi < 0.0 if strict_boundaries else value.hi <= slack
-    if constraint.operator == ">":
-        return value.lo > 0.0 if strict_boundaries else value.lo >= -slack
-    if constraint.operator == "<=":
-        return value.hi <= slack
-    if constraint.operator == ">=":
-        return value.lo >= -slack
-    if constraint.operator == "==":
-        return value.magnitude() <= slack
-    if constraint.operator == "!=":
-        return not value.contains(0.0)
-    raise ICPError(f"unsupported comparison operator {constraint.operator!r}")
+    return _holds(constraint.operator, *_difference(constraint, box), strict_boundaries)
 
 
 def constraint_certainly_fails(constraint: ast.Constraint, box: Box) -> bool:
     """True when no point of ``box`` satisfies ``constraint``."""
-    value = constraint_range(constraint, box)
-    if value.is_empty():
-        return True
-    feasible = relation_range(constraint.operator)
-    return value.intersect(feasible).is_empty()
+    lo, hi = meet_bounds(*_difference(constraint, box), *_RELATION_RANGES[constraint.operator])
+    return lo > hi
 
 
-# --------------------------------------------------------------------------- #
-# Backward sweep
-# --------------------------------------------------------------------------- #
 def hc4_revise(constraint: ast.Constraint, box: Box) -> Optional[Box]:
     """Contract ``box`` with respect to one constraint.
 
     Returns the contracted box, or ``None`` when the constraint is certainly
     unsatisfiable over ``box``.
     """
-    difference = ast.BinaryOp("-", constraint.left, constraint.right)
-    tree = _build_tree(difference)
-    value = _forward(tree, box)
-    feasible = value.intersect(relation_range(constraint.operator))
-    if feasible.is_empty():
+    lo, hi = box.bound_lists()
+    if not HC4Program(constraint, box.variables).revise(lo, hi):
         return None
-
-    domains: Dict[str, Interval] = {name: iv for name, iv in box.items()}
-    if not _backward(tree, feasible, domains):
-        return None
-    return Box(domains)
-
-
-def _backward(node: _Node, projected: Interval, domains: Dict[str, Interval]) -> bool:
-    """Push ``projected`` (the feasible range of ``node``) down the tree.
-
-    Returns False as soon as some variable domain becomes empty.
-    """
-    value = node.value.intersect(projected)
-    if value.is_empty():
-        return False
-    node.value = value
-    expression = node.expression
-
-    if isinstance(expression, ast.Constant):
-        return True
-
-    if isinstance(expression, ast.Variable):
-        name = expression.name
-        if name in domains:
-            narrowed = domains[name].intersect(value)
-            if narrowed.is_empty():
-                return False
-            domains[name] = narrowed
-        return True
-
-    if isinstance(expression, ast.UnaryOp):
-        return _backward(node.children[0], -value, domains)
-
-    if isinstance(expression, ast.BinaryOp):
-        return _backward_binary(expression.operator, node, value, domains)
-
-    if isinstance(expression, ast.FunctionCall):
-        return _backward_function(expression.name, node, value, domains)
-
-    raise ICPError(f"cannot project node of type {type(expression).__name__}")  # pragma: no cover
-
-
-def _is_square(expression: ast.BinaryOp) -> bool:
-    """True for products of the form ``e * e`` (syntactically identical factors)."""
-    return expression.left.canonical() == expression.right.canonical()
-
-
-def _backward_binary(operator: str, node: _Node, value: Interval, domains: Dict[str, Interval]) -> bool:
-    left_node, right_node = node.children
-    left, right = left_node.value, right_node.value
-
-    if operator == "*" and _is_square(node.expression):
-        # Invert the square: |e| <= sqrt(max feasible value).
-        feasible = value.intersect(Interval(0.0, math.inf))
-        if feasible.is_empty():
-            return False
-        if math.isfinite(feasible.hi):
-            root = math.sqrt(feasible.hi) * (1.0 + 1e-12)
-            bound = Interval(-root, root)
-        else:
-            bound = ENTIRE
-        return _backward(left_node, left.intersect(bound), domains) and _backward(
-            right_node, right.intersect(bound), domains
-        )
-
-    if operator == "+":
-        new_left = value - right
-        new_right = value - left
-    elif operator == "-":
-        new_left = value + right
-        new_right = left - value
-    elif operator == "*":
-        new_left = _project_factor(value, right, left)
-        new_right = _project_factor(value, left, right)
-    elif operator == "/":
-        new_left = value * right
-        new_right = _project_factor(left, value, right)
-    else:  # pragma: no cover - defensive
-        raise ICPError(f"unknown binary operator {operator!r}")
-
-    return _backward(left_node, new_left, domains) and _backward(right_node, new_right, domains)
-
-
-def _project_factor(product: Interval, other: Interval, current: Interval) -> Interval:
-    """Feasible values of one factor given the product and the other factor.
-
-    When the other factor straddles zero, exact projection would require a
-    union of two intervals; returning the current enclosure keeps the
-    contraction conservative.
-    """
-    if other.contains(0.0):
-        return current
-    return product / other
-
-
-def _backward_function(name: str, node: _Node, value: Interval, domains: Dict[str, Interval]) -> bool:
-    children = node.children
-
-    if name == "sqrt":
-        argument = value.intersect(Interval(0.0, math.inf)).sqr()
-        return _backward(children[0], argument.hull(Interval.point(0.0)) if argument.is_empty() else argument, domains)
-    if name == "exp":
-        return _backward(children[0], interval_log(value), domains)
-    if name == "log":
-        return _backward(children[0], interval_exp(value), domains)
-    if name == "abs":
-        bound = value.intersect(Interval(0.0, math.inf))
-        if bound.is_empty():
-            return False
-        return _backward(children[0], Interval(-bound.hi, bound.hi), domains)
-    if name == "atan":
-        clipped = value.intersect(Interval(-math.pi / 2, math.pi / 2))
-        if clipped.is_empty():
-            return False
-        return _backward(children[0], interval_tan(clipped), domains)
-    if name == "tanh":
-        clipped = value.intersect(Interval(-1.0, 1.0))
-        if clipped.is_empty():
-            return False
-        return _backward(children[0], children[0].value, domains)
-    if name in ("sin", "cos"):
-        feasible_output = value.intersect(Interval(-1.0, 1.0))
-        if feasible_output.is_empty():
-            return False
-        return _backward(children[0], children[0].value, domains)
-    if name == "pow":
-        return _backward_pow(node, value, domains)
-    if name in ("asin", "acos", "tan", "sinh", "cosh", "log10", "atan2", "min", "max"):
-        # Conservative: keep the operand enclosures unchanged.
-        return all(_backward(child, child.value, domains) for child in children)
-
-    # Unknown functions never prune.
-    return all(_backward(child, child.value, domains) for child in children)
-
-
-def _backward_pow(node: _Node, value: Interval, domains: Dict[str, Interval]) -> bool:
-    base_node, exponent_node = node.children
-    exponent = exponent_node.expression
-    if isinstance(exponent, ast.Constant) and float(exponent.value).is_integer():
-        power = int(exponent.value)
-        projected = _invert_integer_power(value, base_node.value, power)
-        return _backward(base_node, projected, domains) and _backward(exponent_node, exponent_node.value, domains)
-    # Non-integer exponents: no pruning of the base, only of the sign domain.
-    return _backward(base_node, base_node.value, domains) and _backward(exponent_node, exponent_node.value, domains)
-
-
-def _invert_integer_power(value: Interval, base: Interval, power: int) -> Interval:
-    """Enclosure of the bases whose ``power``-th power lies in ``value``."""
-    if power == 0:
-        return base
-    if value.is_empty():
-        return EMPTY
-    if power > 0 and power % 2 == 0:
-        upper = value.intersect(Interval(0.0, math.inf))
-        if upper.is_empty():
-            return EMPTY
-        root = upper.hi ** (1.0 / power) if math.isfinite(upper.hi) else math.inf
-        return base.intersect(Interval(-root, root))
-    if power > 0:
-        lo = _signed_root(value.lo, power)
-        hi = _signed_root(value.hi, power)
-        return base.intersect(Interval(lo, hi))
-    # Negative powers: give up on pruning, stay conservative.
-    return base
-
-
-def _signed_root(value: float, power: int) -> float:
-    """Real ``power``-th root of ``value`` for odd ``power`` (sign preserving)."""
-    if value == math.inf or value == -math.inf:
-        return value
-    magnitude = abs(value) ** (1.0 / power)
-    return math.copysign(magnitude, value)
+    return Box.from_bound_lists(box.variables, lo, hi)

@@ -22,8 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import DomainError
 from repro.icp.config import ICPConfig, PAPER_CONFIG
-from repro.icp.contractor import contract
-from repro.icp.hc4 import constraint_certainly_holds
+from repro.icp.contractor import Contractor
 from repro.intervals.box import Box
 from repro.lang import ast
 
@@ -46,12 +45,15 @@ class Paving:
 
     ``boxes_explored`` and ``contraction_passes`` are solver-effort counters
     (heap pops and HC4 contraction calls); trivial pavings report zero.
+    ``timed_out`` is True when the wall-clock budget cut the search short, so
+    the paving depends on the speed of the machine.
     """
 
     domain: Box
     boxes: Tuple[PavedBox, ...]
     boxes_explored: int = 0
     contraction_passes: int = 0
+    timed_out: bool = False
 
     def is_unsatisfiable(self) -> bool:
         """True when the paving proves the constraints have no solution."""
@@ -117,8 +119,10 @@ class ICPSolver:
         deadline = time.monotonic() + self._config.time_budget
         contraction_passes = 1
         boxes_explored = 0
+        timed_out = False
 
-        initial = contract(pc, domain, self._config)
+        contractor = Contractor(pc, domain.variables, self._config)  # compiled once per paving
+        initial = contractor.contract(domain)
         if initial is None:
             return Paving(domain, (), boxes_explored=0, contraction_passes=contraction_passes)
 
@@ -141,10 +145,12 @@ class ICPSolver:
 
             _, _, box = heapq.heappop(pending)
             boxes_explored += 1
-            inner = self._is_inner(pc, box, strict)
+            inner = contractor.certainly_holds(box, strict)
             too_small = box.max_width() <= self._config.precision
 
-            if inner or too_small or budget_left <= 0 or out_of_time:
+            settled = inner or too_small or budget_left <= 0
+            if settled or out_of_time:
+                timed_out = timed_out or not settled
                 finished.append(PavedBox(box, inner=inner))
                 continue
 
@@ -154,11 +160,11 @@ class ICPSolver:
                 continue
             for half in halves:
                 contraction_passes += 1
-                contracted = contract(pc, half, self._config)
+                contracted = contractor.contract(half)
                 if contracted is not None:
                     heapq.heappush(pending, (-contracted.volume(), next(counter), contracted))
 
-        return Paving(domain, tuple(finished), boxes_explored=boxes_explored, contraction_passes=contraction_passes)
+        return Paving(domain, tuple(finished), boxes_explored, contraction_passes, timed_out)
 
     def _split_box(self, box: Box, integers: frozenset) -> Optional[Tuple[Box, Box]]:
         """Bisect the widest splittable dimension (half-integer cuts on integer dims).
@@ -187,10 +193,6 @@ class ICPSolver:
                 continue
             return box.split(name, at)
         return None
-
-    def _is_inner(self, pc: ast.PathCondition, box: Box, strict_boundaries: bool = False) -> bool:
-        """True when every constraint certainly holds over the whole box."""
-        return all(constraint_certainly_holds(constraint, box, strict_boundaries) for constraint in pc.constraints)
 
     def _check_domain(self, pc: ast.PathCondition, domain: Box) -> None:
         missing = sorted(pc.free_variables() - set(domain.variables))

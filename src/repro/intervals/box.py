@@ -38,6 +38,11 @@ class Box:
         return Box(intervals)
 
     @staticmethod
+    def from_bound_lists(variables: Sequence[str], lo: Sequence[float], hi: Sequence[float]) -> "Box":
+        """The box over ``variables`` with lower bounds ``lo`` and upper bounds ``hi``."""
+        return Box({name: Interval(low, high) for name, low, high in zip(variables, lo, hi)})
+
+    @staticmethod
     def empty(variables: Iterable[str]) -> "Box":
         """A box over ``variables`` in which every interval is empty."""
         return Box({name: Interval.empty() for name in variables})
@@ -69,6 +74,11 @@ class Box:
     def items(self) -> Iterator[Tuple[str, Interval]]:
         """Iterate over ``(name, interval)`` pairs."""
         return iter(self._intervals.items())
+
+    def bound_lists(self) -> Tuple[List[float], List[float]]:
+        """Lower and upper bounds as two lists, in variable order."""
+        intervals = list(self._intervals.values())
+        return [iv.lo for iv in intervals], [iv.hi for iv in intervals]
 
     def as_dict(self) -> Dict[str, Interval]:
         """Copy of the underlying mapping."""

@@ -263,6 +263,38 @@ def integer_power(base: Interval, power: int) -> Interval:
     return _pad(_safe_pow(base.lo, power), _safe_pow(base.hi, power))
 
 
+def integer_root(value: Interval, base: Interval, power: int) -> Interval:
+    """Enclosure of the points of ``base`` whose ``power``-th power lies in ``value``.
+
+    The inverse of :func:`integer_power`, used by HC4's backward sweep.
+    Negative powers are not inverted (``base`` is returned whole).
+    """
+    if power == 0:
+        return base
+    if value.is_empty():
+        return EMPTY
+    if power > 0 and power % 2 == 0:
+        upper = value.intersect(Interval(0.0, math.inf))
+        if upper.is_empty():
+            return EMPTY
+        root = upper.hi ** (1.0 / power) if math.isfinite(upper.hi) else math.inf
+        return base.intersect(Interval(-root, root))
+    if power > 0:
+        # ``x ** (1 / power)`` is inexact (so is ``1 / power``); widen the
+        # roots outward like the square inversion does.
+        lo = _signed_root(value.lo, power)
+        hi = _signed_root(value.hi, power)
+        return base.intersect(Interval(lo - abs(lo) * 1e-12, hi + abs(hi) * 1e-12))
+    return base
+
+
+def _signed_root(value: float, power: int) -> float:
+    """Real ``power``-th root of ``value`` for odd ``power`` (sign preserving)."""
+    if value == math.inf or value == -math.inf:
+        return value
+    return math.copysign(abs(value) ** (1.0 / power), value)
+
+
 def _safe_pow(value: float, power: int) -> float:
     """``value ** power`` with overflow saturated to signed infinity."""
     try:

@@ -207,13 +207,7 @@ class Interval:
     # ------------------------------------------------------------------ #
     def intersect(self, other: "Interval") -> "Interval":
         """Set intersection."""
-        if self.is_empty() or other.is_empty():
-            return EMPTY
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return EMPTY
-        return Interval(lo, hi)
+        return Interval(*meet_bounds(self.lo, self.hi, other.lo, other.hi))
 
     def hull(self, other: "Interval") -> "Interval":
         """Smallest interval containing both operands (interval union hull)."""
@@ -245,53 +239,29 @@ class Interval:
     # ------------------------------------------------------------------ #
     def __add__(self, other: Union["Interval", Number]) -> "Interval":
         other = _coerce(other)
-        if self.is_empty() or other.is_empty():
-            return EMPTY
-        return Interval(_next_down(self.lo + other.lo), _next_up(self.hi + other.hi))
+        return Interval(*add_bounds(self.lo, self.hi, other.lo, other.hi))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        if self.is_empty():
-            return EMPTY
-        return Interval(-self.hi, -self.lo)
+        return Interval(*neg_bounds(self.lo, self.hi))
 
     def __sub__(self, other: Union["Interval", Number]) -> "Interval":
         other = _coerce(other)
-        if self.is_empty() or other.is_empty():
-            return EMPTY
-        return Interval(_next_down(self.lo - other.hi), _next_up(self.hi - other.lo))
+        return Interval(*sub_bounds(self.lo, self.hi, other.lo, other.hi))
 
     def __rsub__(self, other: Union["Interval", Number]) -> "Interval":
         return _coerce(other) - self
 
     def __mul__(self, other: Union["Interval", Number]) -> "Interval":
         other = _coerce(other)
-        if self.is_empty() or other.is_empty():
-            return EMPTY
-        products = []
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                product = _mul_bound(a, b)
-                products.append(product)
-        return Interval(_next_down(min(products)), _next_up(max(products)))
+        return Interval(*mul_bounds(self.lo, self.hi, other.lo, other.hi))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["Interval", Number]) -> "Interval":
         other = _coerce(other)
-        if self.is_empty() or other.is_empty():
-            return EMPTY
-        if not other.contains(0.0):
-            reciprocals = []
-            for b in (other.lo, other.hi):
-                reciprocals.append(1.0 / b)
-            recip = Interval(_next_down(min(reciprocals)), _next_up(max(reciprocals)))
-            return self * recip
-        if other.is_point():  # other == [0, 0]
-            return EMPTY if not self.contains(0.0) else ENTIRE
-        # Division by an interval containing zero: result is unbounded.
-        return ENTIRE
+        return Interval(*div_bounds(self.lo, self.hi, other.lo, other.hi))
 
     def __rtruediv__(self, other: Union["Interval", Number]) -> "Interval":
         return _coerce(other) / self
@@ -307,10 +277,7 @@ class Interval:
 
     def sqr(self) -> "Interval":
         """Enclosure of ``x * x`` — tighter than ``self * self`` around zero."""
-        if self.is_empty():
-            return EMPTY
-        abs_iv = abs(self)
-        return Interval(max(0.0, _next_down(abs_iv.lo * abs_iv.lo)), _next_up(abs_iv.hi * abs_iv.hi))
+        return Interval(*sqr_bounds(self.lo, self.hi))
 
     # ------------------------------------------------------------------ #
     # Dunder plumbing
@@ -335,16 +302,87 @@ def _coerce(value: Union[Interval, Number]) -> Interval:
     return Interval.point(value)
 
 
-def _mul_bound(a: float, b: float) -> float:
-    """Multiply two bounds with the IEEE convention 0 * inf = 0.
+# --------------------------------------------------------------------------- #
+# Bound formulas: the arithmetic of Interval on (lo, hi) float pairs
+# --------------------------------------------------------------------------- #
+# Interval's operators are these formulas; the compiled HC4 sweeps
+# (repro.icp.hc4) call them directly on float bounds.  An empty interval is
+# any pair with lo > hi, and every formula returns _EMPTY_BOUNDS for one.
+# ``nextafter(x, -inf)`` is ``_next_down(x)`` and ``nextafter(x, inf)`` is
+# ``_next_up(x)`` for every float x, infinities included.
+_EMPTY_BOUNDS = (_INF, -_INF)
+_nextafter = math.nextafter
 
-    In interval multiplication the indeterminate products arising from a zero
-    bound and an infinite bound must resolve to zero, otherwise the resulting
-    interval would spuriously become the whole line.
+
+def meet_bounds(alo: float, ahi: float, blo: float, bhi: float) -> Tuple[float, float]:
+    """Intersection."""
+    if alo > ahi or blo > bhi:
+        return _EMPTY_BOUNDS
+    lo = blo if blo > alo else alo
+    hi = bhi if bhi < ahi else ahi
+    return _EMPTY_BOUNDS if lo > hi else (lo, hi)
+
+
+def add_bounds(alo: float, ahi: float, blo: float, bhi: float) -> Tuple[float, float]:
+    """Sum, rounded outward."""
+    if alo > ahi or blo > bhi:
+        return _EMPTY_BOUNDS
+    return _nextafter(alo + blo, -_INF), _nextafter(ahi + bhi, _INF)
+
+
+def sub_bounds(alo: float, ahi: float, blo: float, bhi: float) -> Tuple[float, float]:
+    """Difference, rounded outward."""
+    if alo > ahi or blo > bhi:
+        return _EMPTY_BOUNDS
+    return _nextafter(alo - bhi, -_INF), _nextafter(ahi - blo, _INF)
+
+
+def mul_bounds(alo: float, ahi: float, blo: float, bhi: float) -> Tuple[float, float]:
+    """Product, rounded outward.
+
+    The indeterminate products of a zero bound and an infinite bound resolve
+    to zero (IEEE would give NaN), otherwise the product would spuriously
+    become the whole line.
     """
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
+    if alo > ahi or blo > bhi:
+        return _EMPTY_BOUNDS
+    p1 = 0.0 if alo == 0.0 or blo == 0.0 else alo * blo
+    p2 = 0.0 if alo == 0.0 or bhi == 0.0 else alo * bhi
+    p3 = 0.0 if ahi == 0.0 or blo == 0.0 else ahi * blo
+    p4 = 0.0 if ahi == 0.0 or bhi == 0.0 else ahi * bhi
+    return _nextafter(min(p1, p2, p3, p4), -_INF), _nextafter(max(p1, p2, p3, p4), _INF)
+
+
+def div_bounds(alo: float, ahi: float, blo: float, bhi: float) -> Tuple[float, float]:
+    """Quotient: the product with the reciprocal, or unbounded around zero."""
+    if alo > ahi or blo > bhi:
+        return _EMPTY_BOUNDS
+    if not blo <= 0.0 <= bhi:
+        r1 = 1.0 / blo
+        r2 = 1.0 / bhi
+        return mul_bounds(alo, ahi, _nextafter(min(r1, r2), -_INF), _nextafter(max(r1, r2), _INF))
+    if blo == bhi:  # divisor [0, 0]
+        return (-_INF, _INF) if alo <= 0.0 <= ahi else _EMPTY_BOUNDS
+    return -_INF, _INF
+
+
+def sqr_bounds(lo: float, hi: float) -> Tuple[float, float]:
+    """Square: the enclosure of ``x * x``, tighter than the product around zero."""
+    if lo > hi:
+        return _EMPTY_BOUNDS
+    if lo >= 0:
+        alo, ahi = lo, hi
+    elif hi <= 0:
+        alo, ahi = -hi, -lo
+    else:
+        alo, ahi = 0.0, (hi if hi > -lo else -lo)
+    low = _nextafter(alo * alo, -_INF)
+    return (low if low > 0.0 else 0.0), _nextafter(ahi * ahi, _INF)
+
+
+def neg_bounds(lo: float, hi: float) -> Tuple[float, float]:
+    """Negation."""
+    return _EMPTY_BOUNDS if lo > hi else (-hi, -lo)
 
 
 #: The canonical empty interval.

@@ -176,6 +176,15 @@ class TokenStream:
             self._position += 1
         return token
 
+    @property
+    def position(self) -> int:
+        """Index of the current token (pass it to :meth:`rewind` to backtrack)."""
+        return self._position
+
+    def rewind(self, position: int) -> None:
+        """Move the cursor back to a :attr:`position` read earlier."""
+        self._position = position
+
     def at_end(self) -> bool:
         """True when the cursor is at the EOF token."""
         return self.peek().kind == EOF

@@ -3,7 +3,8 @@
 Grammar (informal)::
 
     constraint_set  := path_condition ('||' path_condition)*
-    path_condition  := constraint ('&&' constraint)*
+    path_condition  := conjunct ('&&' conjunct)*
+    conjunct        := constraint | '(' path_condition ')'
     constraint      := expression comparison expression
     comparison      := '<=' | '<' | '>=' | '>' | '==' | '!='
     expression      := term (('+' | '-') term)*
@@ -14,6 +15,11 @@ Grammar (informal)::
 
 Function names written Java-style (``Math.sin``) are normalised by stripping
 the ``Math.`` prefix, so constraints copied from SPF output parse unchanged.
+
+A parenthesised conjunction is flattened into the enclosing one, so the text
+``str(ConstraintSet)`` renders (``(a && b) || (c)``) parses back.  A ``(``
+opens arithmetic when that parses as a constraint and a conjunction
+otherwise.
 """
 
 from __future__ import annotations
@@ -66,14 +72,26 @@ class ConstraintParser:
     # Grammar rules
     # ------------------------------------------------------------------ #
     def _path_condition(self) -> ast.PathCondition:
-        constraints = [self._constraint()]
+        constraints = self._conjunct()
         while self._stream.accept(OPERATOR, "&&"):
-            constraints.append(self._constraint())
+            constraints.extend(self._conjunct())
         return ast.PathCondition.of(constraints)
 
+    def _conjunct(self) -> List[ast.Constraint]:
+        if not self._stream.check(PUNCT, "("):
+            return [self._constraint()]
+        start = self._stream.position
+        try:
+            return [self._constraint()]
+        except ParseError:
+            # Not ``(arithmetic) <op> ...``: a parenthesised conjunction.
+            self._stream.rewind(start)
+        self._stream.expect(PUNCT, "(")
+        constraints = list(self._path_condition().constraints)
+        self._stream.expect(PUNCT, ")")
+        return constraints
+
     def _constraint(self) -> ast.Constraint:
-        # Parenthesised path conditions inside a disjunction are not supported
-        # at the constraint level; parentheses here always belong to arithmetic.
         left = self._expression()
         token = self._stream.peek()
         if token.kind != OPERATOR or token.text not in _COMPARISONS:

@@ -43,6 +43,7 @@ METRIC_HELP: Mapping[str, str] = {
     "icp_boxes_explored_total": "Boxes popped by the ICP paving solver",
     "icp_contraction_passes_total": "Contraction passes run by the ICP solver",
     "icp_pave_seconds": "Wall-clock duration of one ICP paving",
+    "icp_time_budget_hits_total": "ICP pavings cut short by the solver's wall-clock budget",
     "exec_chunks_total": "Sampling chunks executed",
     "exec_samples_total": "Samples drawn inside executor chunks",
     "exec_hits_total": "Satisfying samples inside executor chunks",

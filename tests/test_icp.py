@@ -56,6 +56,14 @@ class TestIntervalEvaluation:
                 value = (x - y) ** 2
                 assert enclosure.contains(value)
 
+    def test_unbounded_enclosure_is_never_certain(self):
+        # 1 / x over [-1, 1] is enclosed by the whole line: the box is neither
+        # inside nor outside the solution set (P = 0.9 under a uniform x).
+        constraint = parse_constraint("1 / x <= 5")
+        assert not constraint_certainly_holds(constraint, box(x=(-1, 1)))
+        assert not constraint_certainly_holds(parse_constraint("1 / x == 5"), box(x=(-1, 1)))
+        assert not constraint_certainly_fails(constraint, box(x=(-1, 1)))
+
     def test_certainly_holds_and_fails(self):
         constraint = parse_constraint("x <= 5")
         assert constraint_certainly_holds(constraint, box(x=(0, 1)))
@@ -96,6 +104,13 @@ class TestHC4Revise:
         assert narrowed is not None
         # Conservative: the solution pi/6..5pi/6 must remain inside.
         assert narrowed.interval("x").contains(math.pi / 2)
+
+    def test_odd_power_inversion_keeps_exact_roots(self):
+        # 0.0625 ** 3 is exact, but its cube root computed as x ** (1 / 3)
+        # is not: the inverted bounds are widened so the root stays inside.
+        narrowed = hc4_revise(parse_constraint("x >= pow(0.0625, 3) + pow(y, 3)"), box(x=(-2, 3), y=(0.0625, 0.0625)))
+        assert narrowed is not None
+        assert narrowed.interval("y") == Interval(0.0625, 0.0625)
 
     def test_soundness_never_removes_solutions(self):
         constraint = parse_constraint("x * y + sqrt(y) <= 3")
@@ -164,6 +179,14 @@ class TestPaving:
         pc = parse_path_condition("x >= 5")
         paving = pave(pc, box(x=(0, 1)))
         assert paving.is_unsatisfiable()
+
+    def test_time_budget_cut_is_flagged(self):
+        pc = parse_path_condition("x * x + y * y <= 1")
+        domain = box(x=(-2, 2), y=(-2, 2))
+        assert not pave(pc, domain).timed_out
+        cut = pave(pc, domain, ICPConfig(time_budget=1e-9))
+        assert cut.timed_out
+        assert len(cut) == 1 and not cut.boxes[0].inner
 
     def test_trivial_path_condition_returns_domain(self):
         from repro.lang.ast import PathCondition

@@ -109,6 +109,32 @@ class TestParser:
         cs = parse_constraint_set("x <= 1 || x > 1 && y <= 0 || y > 5")
         assert len(cs) == 3
 
+    def test_parenthesised_conjunctions(self):
+        cs = parse_constraint_set("(x <= 1 && (y > 0 && (x) * 2 >= (y))) || (x + 1) <= 2")
+        assert [len(pc) for pc in cs] == [3, 1]
+        assert str(cs.path_conditions[0]) == "x <= 1.0 && y > 0.0 && (x * 2.0) >= y"
+        with pytest.raises(ParseError):
+            parse_constraint_set("(x <= 1 || y <= 1) && x >= 0")
+        with pytest.raises(ParseError):
+            parse_constraint_set("(x <= 1 && y <= 1")
+
+    @pytest.mark.parametrize("name", ["Apollo", "Conflict", "Turn Logic"])
+    def test_aerospace_constraint_sets_round_trip_through_text(self, name):
+        from repro.subjects import aerospace
+
+        cs = aerospace.subject_by_name(name).constraint_set
+        parsed = parse_constraint_set(str(cs))
+        assert [pc.constraints for pc in parsed] == [pc.constraints for pc in cs]
+        assert str(parsed) == str(cs)
+
+    @pytest.mark.parametrize("edits", range(6))
+    def test_evolution_fixture_round_trips_through_text(self, edits):
+        from repro.subjects import evolution
+
+        for text in (evolution.edited_version(edits), evolution.EVOLUTION_V2):
+            cs = parse_constraint_set(text)
+            assert parse_constraint_set(str(cs)) == cs
+
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse_constraint("x <= 1 garbage")

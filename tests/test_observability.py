@@ -17,6 +17,7 @@ Regenerate the metrics golden file after an intentional change with::
     QCORAL_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_observability.py
 """
 
+import dataclasses
 import json
 import logging
 import os
@@ -26,6 +27,7 @@ import pytest
 
 from repro.api import Session
 from repro.core.qcoral import QCoralConfig
+from repro.icp import ICPConfig
 from repro.lang.kernel import kernel_cache_info
 from repro.obs import DISABLED, Observability, ensure_observability
 from repro.obs.diagnostics import Diagnostic, deterministic_diagnostics
@@ -292,6 +294,15 @@ def test_report_metrics_block_matches_golden():
     with open(METRICS_GOLDEN_PATH, "r", encoding="utf-8") as handle:
         golden = json.load(handle)
     assert payload == golden
+
+
+def test_icp_time_budget_hits_are_counted_only_when_they_happen():
+    assert _run(observability=Observability()).metrics.counter_total("icp_time_budget_hits_total") == 0
+    config = dataclasses.replace(QCoralConfig.strat_partcache(SAMPLES, seed=SEED), icp=ICPConfig(time_budget=1e-9))
+    with Session(observability=Observability()) as session:
+        report = session.quantify("x * x + y * y <= 1", BOUNDS, config=config).run()
+    assert report.metrics.counter_total("icp_time_budget_hits_total") == 1
+    assert "# HELP icp_time_budget_hits_total ICP pavings cut short" in prometheus_text(report.metrics)
 
 
 # --------------------------------------------------------------------------- #

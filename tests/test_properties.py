@@ -19,8 +19,16 @@ from hypothesis import strategies as st
 
 from repro.core.estimate import Estimate, product_independent, sum_disjoint
 from repro.core.profiles import UsageProfile
-from repro.icp.hc4 import evaluate_interval, hc4_revise
+from repro.icp.contractor import contract
+from repro.icp.hc4 import (
+    constraint_certainly_fails,
+    constraint_certainly_holds,
+    constraint_range,
+    evaluate_interval,
+    hc4_revise,
+)
 from repro.intervals import Box, Interval
+from repro.intervals.functions import supported_functions
 from repro.lang import ast
 from repro.lang.compiler import compile_expression
 from repro.lang.evaluator import evaluate, holds
@@ -155,6 +163,146 @@ class TestEnclosureProperties:
                 assert math.isnan(actual)
             else:
                 assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+# --------------------------------------------------------------------------- #
+# Compiled HC4 sweeps over every node kind
+# --------------------------------------------------------------------------- #
+#: Every function with an interval extension.  ``pow`` is drawn with a
+#: constant exponent only, integer or not: with a varying exponent the
+#: interval extension drops negative bases, whose powers are real only at
+#: integer exponents (a measure-zero set).
+_FUNCTIONS = tuple(name for name in supported_functions() if name != "pow")
+_BINARY_FUNCTIONS = ("atan2", "max", "min")
+
+#: Domains of ``y``: a plain range, ``[0, 0]`` (divisions by it are by
+#: ``[0, 0]``), and one strictly on each side of zero.
+_Y_DOMAINS = ((-1.0, 4.0), (0.0, 0.0), (0.5, 2.0), (-3.0, -0.25))
+
+#: ``x`` is bounded, ``y`` as above, ``w`` is unbounded (ENTIRE) and ``z`` is
+#: missing from the box (so it is enclosed by the whole line too).
+_X_DOMAIN = (-2.0, 3.0)
+_W_SPREAD = 200.0
+_Z_SPREAD = 20.0
+
+
+@st.composite
+def hc4_expressions(draw, depth=0):
+    """Expressions over x, y, w, z using every operator, function and pow form."""
+    if depth >= 3 or draw(st.integers(min_value=0, max_value=3)) == 0:
+        choice = draw(st.integers(min_value=0, max_value=4))
+        if choice == 0:
+            return ast.const(draw(small_floats))
+        return ast.var("xywz"[choice - 1])
+    kind = draw(st.sampled_from(("+", "-", "*", "/", "neg", "square", "pow-int", "pow-real") + _FUNCTIONS))
+    if kind in ("+", "-", "*", "/"):
+        return ast.BinaryOp(kind, draw(hc4_expressions(depth + 1)), draw(hc4_expressions(depth + 1)))
+    if kind == "neg":
+        return ast.neg(draw(hc4_expressions(depth + 1)))
+    if kind == "square":
+        operand = draw(hc4_expressions(depth + 1))
+        return ast.mul(operand, operand)
+    if kind == "pow-int":
+        return ast.call("pow", draw(hc4_expressions(depth + 1)), ast.const(draw(st.integers(-3, 4))))
+    if kind == "pow-real":
+        return ast.call("pow", draw(hc4_expressions(depth + 1)), ast.const(draw(st.sampled_from((0.5, 1.5, -0.5)))))
+    if kind in _BINARY_FUNCTIONS:
+        return ast.call(kind, draw(hc4_expressions(depth + 1)), draw(hc4_expressions(depth + 1)))
+    return ast.call(kind, draw(hc4_expressions(depth + 1)))
+
+
+def _hc4_box(y_domain):
+    return Box(
+        {
+            "x": Interval(*_X_DOMAIN),
+            "y": Interval(*y_domain),
+            "w": Interval(-math.inf, math.inf),
+        }
+    )
+
+
+def _hc4_point(y_domain, tx, ty, tw, tz):
+    y_lo, y_hi = y_domain
+    return {
+        "x": _X_DOMAIN[0] + (_X_DOMAIN[1] - _X_DOMAIN[0]) * tx,
+        "y": y_lo + (y_hi - y_lo) * ty,
+        "w": (tw - 0.5) * _W_SPREAD,
+        "z": (tz - 0.5) * _Z_SPREAD,
+    }
+
+
+def _finite_everywhere(expression, point) -> bool:
+    """True when every sub-expression evaluates to a finite number at ``point``.
+
+    Interval extensions enclose real values: a NaN or infinite intermediate
+    (``acos(2)``, a division by zero) has no real value to enclose, and a
+    later node may even turn it back into a number (``pow(nan, 0) == 1``).
+    """
+    return all(math.isfinite(evaluate(node, point)) for node in ast.walk(expression))
+
+
+def _finite_solution(constraint, point) -> bool:
+    """True when ``point`` satisfies ``constraint`` with finite values throughout."""
+    return (
+        _finite_everywhere(constraint.left, point)
+        and _finite_everywhere(constraint.right, point)
+        and holds(constraint, point)
+    )
+
+
+unit = st.floats(0, 1)
+comparisons = st.sampled_from(["<=", ">=", "<", ">", "==", "!="])
+
+
+class TestCompiledSweepProperties:
+    """Solutions of a constraint survive the compiled forward/backward sweeps."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hc4_expressions(), st.sampled_from(_Y_DOMAINS), unit, unit, unit, unit)
+    def test_enclosure_contains_finite_values(self, expr, y_domain, tx, ty, tw, tz):
+        point = _hc4_point(y_domain, tx, ty, tw, tz)
+        assume(_finite_everywhere(expr, point))
+        enclosure = evaluate_interval(expr, _hc4_box(y_domain))
+        assert enclosure.contains(evaluate(expr, point))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hc4_expressions(), hc4_expressions(), comparisons, st.sampled_from(_Y_DOMAINS), unit, unit, unit, unit)
+    def test_revise_keeps_every_solution(self, left, right, operator, y_domain, tx, ty, tw, tz):
+        constraint = ast.Constraint(operator, left, right)
+        point = _hc4_point(y_domain, tx, ty, tw, tz)
+        assume(_finite_solution(constraint, point))
+        box = _hc4_box(y_domain)
+        inside = {name: point[name] for name in box.variables}
+        assert not constraint_certainly_fails(constraint, box)
+        narrowed = hc4_revise(constraint, box)
+        assert narrowed is not None
+        assert narrowed.contains_point(inside)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hc4_expressions(), hc4_expressions(), comparisons, st.sampled_from(_Y_DOMAINS), unit, unit, unit, unit)
+    def test_conjunction_contraction_keeps_every_solution(self, first, second, operator, y_domain, tx, ty, tw, tz):
+        pc = ast.PathCondition.of(
+            [ast.Constraint(operator, first, ast.const(0.5)), ast.Constraint("<=", second, first)]
+        )
+        point = _hc4_point(y_domain, tx, ty, tw, tz)
+        assume(all(_finite_solution(constraint, point) for constraint in pc.constraints))
+        box = _hc4_box(y_domain)
+        narrowed = contract(pc, box)
+        assert narrowed is not None
+        assert narrowed.contains_point({name: point[name] for name in box.variables})
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hc4_expressions(), comparisons, st.sampled_from(_Y_DOMAINS), unit, unit, unit, unit)
+    def test_certainly_holding_box_has_no_finite_counterexample(self, expr, operator, y_domain, tx, ty, tw, tz):
+        constraint = ast.Constraint(operator, expr, ast.const(0.5))
+        assume(constraint_certainly_holds(constraint, _hc4_box(y_domain)))
+        point = _hc4_point(y_domain, tx, ty, tw, tz)
+        assume(_finite_everywhere(expr, point))
+        # Up to the boundary slack of the inner test: relative to a finite
+        # magnitude of the enclosure of ``left - right``, absolute otherwise.
+        magnitude = constraint_range(constraint, _hc4_box(y_domain)).magnitude()
+        slack = 1e-12 * (magnitude if 1.0 < magnitude < math.inf else 1.0)
+        assert holds(constraint, point) or abs(evaluate(expr, point) - 0.5) <= slack
 
 
 # --------------------------------------------------------------------------- #
