@@ -192,7 +192,7 @@ def collect_golden() -> dict:
 # --------------------------------------------------------------------------- #
 # Benchmark
 # --------------------------------------------------------------------------- #
-def run_benchmark(repeats: int = REPEATS) -> dict:
+def run_benchmark() -> dict:
     """Re-pave every golden factor; time per subject and check bit identity."""
     golden = load_golden()
     factors = [(entry, decode_factor(entry["factor"])) for entry in golden["factors"]]
@@ -208,7 +208,7 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
     for name in dict.fromkeys(subject for entry in golden["factors"] for subject in entry["subjects"]):
         own = [decoded for entry, decoded in factors if name in entry["subjects"]]
         timings = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             started = time.perf_counter()
             for pc, domain, integers in own:
                 solver.pave(pc, domain, integer_variables=integers)
@@ -222,7 +222,7 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
         )
     return {
         "config": golden["config"],
-        "repeats": repeats,
+        "repeats": REPEATS,
         "factors": len(factors),
         "bit_identical": bit_identical,
         "time_budget_hits": budget_hits,
@@ -241,7 +241,6 @@ def test_icp_paving_benchmark():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write-golden", action="store_true", help="re-collect and rewrite the golden pavings")
-    parser.add_argument("--repeats", type=int, default=REPEATS, help="timed repeats per subject")
     args = parser.parse_args()
     if args.write_golden:
         golden = collect_golden()
@@ -250,7 +249,7 @@ def main() -> None:
             handle.write("\n")
         print(f"{len(golden['factors'])} distinct factors written to {GOLDEN_PATH}")
         return
-    payload = run_benchmark(args.repeats)
+    payload = run_benchmark()
     table = Table(
         title=f"ICP paving at PAPER_CONFIG (median of {payload['repeats']})",
         headers=("factors", "pave seconds"),

@@ -71,6 +71,17 @@ _LEAF, _NEG, _ADD, _SUB, _MUL, _DIV, _SQR, _KEEP, _POWI, _INVERT = range(10)
 _BINARY = {"+": (add_bounds, _ADD), "-": (sub_bounds, _SUB), "*": (mul_bounds, _MUL), "/": (div_bounds, _DIV)}
 
 
+def _binary(node: ast.BinaryOp) -> tuple:
+    """The bound formula and backward code of a binary node."""
+    if node.operator == "*" and node.left.canonical() == node.right.canonical():
+        # ``e * e`` is a square: the tight enclosure avoids the spurious
+        # negative range of the generic product rule.
+        return sqr_bounds, _SQR
+    if node.operator not in _BINARY:
+        raise ICPError(f"unknown binary operator {node.operator!r}")
+    return _BINARY[node.operator]
+
+
 def _sqrt_inverse(value: Interval) -> Interval:
     argument = value.intersect(Interval(0.0, math.inf)).sqr()
     return argument.hull(Interval.point(0.0)) if argument.is_empty() else argument
@@ -127,14 +138,7 @@ class HC4Program:
                 backward[slot] = (_NEG, slot, child, None)
             elif isinstance(node, ast.BinaryOp):
                 left, right = visit(node.left), visit(node.right)
-                if node.operator == "*" and node.left.canonical() == node.right.canonical():
-                    # ``e * e`` is a square: the tight enclosure avoids the
-                    # spurious negative range of the generic product rule.
-                    op, code = sqr_bounds, _SQR
-                elif node.operator in _BINARY:
-                    op, code = _BINARY[node.operator]
-                else:
-                    raise ICPError(f"unknown binary operator {node.operator!r}")
+                op, code = _binary(node)
                 forward.append((op, slot, left, None if code == _SQR else right))
                 backward[slot] = (code, slot, left, right)
             elif isinstance(node, ast.FunctionCall):
@@ -285,11 +289,8 @@ def _enclose(node: ast.Expression, box: Box) -> Tuple[float, float]:
         return neg_bounds(*_enclose(node.operand, box))
     if isinstance(node, ast.BinaryOp):
         left, right = _enclose(node.left, box), _enclose(node.right, box)
-        if node.operator == "*" and node.left.canonical() == node.right.canonical():
-            return sqr_bounds(*left)
-        if node.operator not in _BINARY:
-            raise ICPError(f"unknown binary operator {node.operator!r}")
-        return _BINARY[node.operator][0](*left, *right)
+        op, code = _binary(node)
+        return op(*left) if code == _SQR else op(*left, *right)
     if isinstance(node, ast.FunctionCall):
         value = apply_function(node.name, [Interval(*_enclose(argument, box)) for argument in node.arguments])
         return value.lo, value.hi
