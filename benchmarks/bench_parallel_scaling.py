@@ -95,7 +95,7 @@ def _best_of(name: str, executor: Optional[str], workers: Optional[int], budget:
         result, elapsed = run_once(name, executor, workers, budget=budget)
         times.append(elapsed)
     return {
-        "executor": executor or "legacy",
+        "executor": executor,
         "workers": workers,
         "seconds": min(times),
         "seconds_all": times,
@@ -174,7 +174,7 @@ class TestParallelScaling:
     @pytest.mark.parametrize("name", ["Sphere", "Torus"])
     def test_backends_bit_identical_on_table2_workload(self, name):
         serial, _ = run_once(name, "serial", None, budget=self.TEST_BUDGET)
-        for executor, workers in (("thread", 2), ("process", 2), ("process", 4)):
+        for executor, workers in ((None, None), ("thread", 2), ("process", 2), ("process", 4)):
             parallel, _ = run_once(name, executor, workers, budget=self.TEST_BUDGET)
             assert parallel.mean == serial.mean
             assert parallel.variance == serial.variance

@@ -57,7 +57,7 @@ class PipelineResult:
 
     @property
     def executor_label(self) -> Optional[str]:
-        """Resolved backend the analysis sampled on (None = in-thread path).
+        """Resolved backend the analysis sampled on (None = the calling thread).
 
         Comes from the analyzer's executor instance, so a pool passed to the
         pipeline constructor is reported even when the config names none.

@@ -41,8 +41,8 @@ def register_method(
 ) -> EstimationMethod:
     """Register an estimation method under ``name``.
 
-    ``make_sampler(factor, profile, rng, *, variables, solver, seed_stream,
-    chunk_size, config)`` must build a resumable
+    ``make_sampler(factor, profile, seed, *, variables, solver, chunk_size,
+    config)`` must build a resumable
     :class:`~repro.core.stratified.StratifiedSampler` (subclasses welcome).
     ``store_method`` maps a config to the persistent-store method tag; the
     default prefixes the stratified tag with the method name so a custom

@@ -53,19 +53,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exec depends on core)
-    from repro.exec.executor import Executor
-    from repro.exec.scheduler import SamplingTask
-    from repro.exec.seeds import SeedStream
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.estimate import Estimate
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import StratifiedResult, StratifiedSampler, Stratum
 from repro.errors import AnalysisError, ConfigurationError
+from repro.exec.executor import Executor
+from repro.exec.scheduler import SamplingTask
+from repro.exec.seeds import SeedLike
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.contractor import Contractor
 from repro.icp.solver import ICPSolver, PavedBox, Paving
@@ -89,7 +85,7 @@ class ImportanceSampler(StratifiedSampler):
     """Mass-refined, self-normalised stratified estimator of one path condition.
 
     Drop-in replacement for :class:`~repro.core.stratified.StratifiedSampler`:
-    the persistent-strata machinery, the sharded deterministic execution path,
+    the persistent-strata machinery, the seeded task planning,
     and the store integration are all inherited.  What changes is *where the
     strata are* (mass-driven refinement on top of the ICP paving), *where the
     budget goes* (callers should extend with the ``"neyman"`` or ``"mass"``
@@ -113,12 +109,11 @@ class ImportanceSampler(StratifiedSampler):
         self,
         pc: ast.PathCondition,
         profile: UsageProfile,
-        rng: Optional[np.random.Generator],
+        seed: SeedLike,
         variables: Optional[Sequence[str]] = None,
         icp_config: ICPConfig = PAPER_CONFIG,
         solver: Optional[ICPSolver] = None,
-        executor: Optional["Executor"] = None,
-        seed_stream: Optional["SeedStream"] = None,
+        executor: Optional[Executor] = None,
         chunk_size: Optional[int] = None,
         max_boxes: int = DEFAULT_MASS_SPLIT_BOXES,
         adaptive_splits: int = 0,
@@ -135,12 +130,11 @@ class ImportanceSampler(StratifiedSampler):
         super().__init__(
             pc,
             profile,
-            rng,
+            seed,
             variables=variables,
             icp_config=icp_config,
             solver=solver,
             executor=executor,
-            seed_stream=seed_stream,
             chunk_size=chunk_size,
             observability=observability,
         )
@@ -287,10 +281,9 @@ class ImportanceSampler(StratifiedSampler):
     def _maybe_adaptive_refine(self) -> None:
         """Spend one adaptive split on the largest variance contributor, if any.
 
-        Runs at the head of every extension round (both execution paths), so
-        the decision depends only on the merged per-stratum counts — which are
-        backend-independent — and the refined paving stays bit-identical
-        across serial/thread/process executors.
+        Runs at the head of every planned round, so the decision depends only
+        on the merged per-stratum counts — which are backend-independent —
+        and the refined paving stays bit-identical across executors.
         """
         if self._adaptive_remaining <= 0:
             return
@@ -327,16 +320,10 @@ class ImportanceSampler(StratifiedSampler):
         sigma = stratum.sigma()
         return stratum.weight * stratum.weight * sigma * sigma / max(1, stratum.samples)
 
-    def _extend_serial(self, budget: int, allocation: str) -> int:
-        self._maybe_adaptive_refine()
-        if self._exact is not None:
-            # The refine step can prove the estimate exact mid-run; without
-            # this guard the base extension would fall back to an even split
-            # over the (all-zero-priority) inner strata and waste the budget.
-            return 0
-        return super()._extend_serial(budget, allocation)
-
-    def plan_extension(self, budget: int, allocation: str = "even") -> List[Tuple[int, "SamplingTask"]]:
+    def plan_extension(self, budget: int, allocation: str = "even") -> List[Tuple[int, SamplingTask]]:
+        # The refine step can prove the estimate exact mid-run; the base
+        # planner then plans nothing instead of spreading the budget evenly
+        # over the (all-zero-priority) inner strata.
         self._maybe_adaptive_refine()
         return super().plan_extension(budget, allocation)
 
@@ -393,15 +380,14 @@ def importance_sampling(
     pc: ast.PathCondition,
     profile: UsageProfile,
     samples: int,
-    rng: Optional[np.random.Generator],
+    seed: SeedLike,
     variables: Optional[Sequence[str]] = None,
     icp_config: ICPConfig = PAPER_CONFIG,
     solver: Optional[ICPSolver] = None,
     allocation: str = "neyman",
     max_boxes: int = DEFAULT_MASS_SPLIT_BOXES,
     adaptive_splits: int = 0,
-    executor: Optional["Executor"] = None,
-    seed_stream: Optional["SeedStream"] = None,
+    executor: Optional[Executor] = None,
     chunk_size: Optional[int] = None,
 ) -> StratifiedResult:
     """One-shot convenience wrapper around :class:`ImportanceSampler`.
@@ -416,12 +402,11 @@ def importance_sampling(
     sampler = ImportanceSampler(
         pc,
         profile,
-        rng,
+        seed,
         variables=variables,
         icp_config=icp_config,
         solver=solver,
         executor=executor,
-        seed_stream=seed_stream,
         chunk_size=chunk_size,
         max_boxes=max_boxes,
         adaptive_splits=adaptive_splits,

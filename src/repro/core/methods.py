@@ -26,12 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import numpy as np
-
 from repro.core.importance import ImportanceSampler
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import StratifiedSampler
-from repro.exec.seeds import SeedStream
+from repro.exec.seeds import SeedLike
 from repro.icp.solver import ICPSolver
 from repro.lang import ast
 from repro.registry import Registry
@@ -70,11 +68,10 @@ ESTIMATION_METHODS = METHOD_REGISTRY.view()
 def _make_hit_or_miss(
     factor: ast.PathCondition,
     profile: UsageProfile,
-    rng: Optional[np.random.Generator],
+    seed: SeedLike,
     *,
     variables: Sequence[str],
     solver: ICPSolver,
-    seed_stream: Optional[SeedStream],
     chunk_size: Optional[int],
     config: "QCoralConfig",
     observability: Optional["Observability"] = None,
@@ -82,10 +79,9 @@ def _make_hit_or_miss(
     return StratifiedSampler(
         factor,
         profile,
-        rng,
+        seed,
         variables=variables,
         solver=solver,
-        seed_stream=seed_stream,
         chunk_size=chunk_size,
         observability=observability,
     )
@@ -94,11 +90,10 @@ def _make_hit_or_miss(
 def _make_importance(
     factor: ast.PathCondition,
     profile: UsageProfile,
-    rng: Optional[np.random.Generator],
+    seed: SeedLike,
     *,
     variables: Sequence[str],
     solver: ICPSolver,
-    seed_stream: Optional[SeedStream],
     chunk_size: Optional[int],
     config: "QCoralConfig",
     observability: Optional["Observability"] = None,
@@ -106,10 +101,9 @@ def _make_importance(
     return ImportanceSampler(
         factor,
         profile,
-        rng,
+        seed,
         variables=variables,
         solver=solver,
-        seed_stream=seed_stream,
         chunk_size=chunk_size,
         max_boxes=config.mass_split_boxes,
         adaptive_splits=config.mass_split_adaptive,

@@ -39,8 +39,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.cache import CacheStatistics, EstimateCache
 from repro.core.composition import (
     compose_disjoint_path_conditions,
@@ -50,7 +48,7 @@ from repro.core.dependency import DependencyPartition, compute_dependency_partit
 from repro.core.estimate import Estimate
 from repro.core.importance import DEFAULT_MASS_SPLIT_BOXES
 from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY
-from repro.core.montecarlo import SamplingResult, hit_or_miss
+from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import (
     ALLOCATION_POLICIES,
@@ -60,13 +58,13 @@ from repro.core.stratified import (
 )
 from repro.errors import ConfigurationError
 from repro.exec.executor import EXECUTOR_KINDS, Executor, resolve_executor
-from repro.exec.scheduler import SamplingTask, run_sampling_tasks, shard_budget
+from repro.exec.scheduler import DEFAULT_CHUNK_SIZE, SamplingTask, run_sampling_tasks, shard_budget
 from repro.exec.seeds import SeedStream
 from repro.icp.config import ICPConfig, PAPER_CONFIG
 from repro.icp.solver import ICPSolver
 from repro.lang import ast
 from repro.lang.analysis import group_constraints_by_block
-from repro.lang.kernel import KernelCacheStats, get_kernel, kernel_cache_stats
+from repro.lang.kernel import KernelCacheStats, kernel_cache_stats
 from repro.lang.simplify import simplify_path_condition
 from repro.obs import Observability, ensure_observability
 from repro.obs.diagnostics import Diagnostic, FactorHealth, StratumHealth, diagnose_run
@@ -111,7 +109,9 @@ class QCoralConfig:
             pooling is reduced for the affected factors.
         partition_and_cache: Enable the PARTCACHE feature (independent-factor
             decomposition with caching).
-        seed: Seed for the NumPy random generator; None draws fresh entropy.
+        seed: Master seed of the sampling streams: every factor spawns its
+            own child stream from it, and every sampling chunk its own seed
+            from that.  None draws fresh entropy.
         icp: Configuration of the ICP paving solver.
         simplify: Simplify path conditions (constant folding, duplicate
             conjunct removal) before analysis.
@@ -129,16 +129,13 @@ class QCoralConfig:
         allocation: Budget split across strata and factors: ``"even"`` (the
             paper's equal split) or ``"neyman"`` (proportional to the weighted
             standard deviation ``w_i σ_i``).
-        executor: Execution backend for sampling work: None (the in-thread
-            single-stream path, left untouched by the executor subsystem) or
-            one of ``"serial"``, ``"thread"``, ``"process"``.  Any non-None
-            value switches to the sharded deterministic path: for a fixed
-            ``seed`` all three backends produce bit-identical results at any
-            worker count (the two paths consume different random streams, so
-            their results differ from each other for the same seed).
+        executor: Execution backend for the seeded sampling chunks: None (run
+            them in the calling thread) or one of ``"serial"``, ``"thread"``,
+            ``"process"``.  For a fixed ``seed`` every choice produces
+            bit-identical results at any worker count.
         workers: Worker count for the thread/process backends (None = the
             machine's CPU count).
-        chunk_size: Samples per sharded task on the executor path (None =
+        chunk_size: Samples per sampling task (None =
             :data:`repro.exec.scheduler.DEFAULT_CHUNK_SIZE`).
         store_path: Path of a persistent estimate store; stored per-factor
             counts are reused across runs (outright when they cover the
@@ -377,7 +374,7 @@ class QCoralResult:
     round_reports: Tuple[RoundReport, ...] = ()
     #: Resolved backend label (``process×4``) the sampling actually ran on —
     #: taken from the analyzer's executor instance, so a borrowed pool is
-    #: reported too; None on the in-thread single-stream path.
+    #: reported too; None when the tasks ran in the calling thread.
     executor: Optional[str] = None
     #: Label of the persistent estimate store consulted (``sqlite:est.db``),
     #: None when the run had no store.  Cross-run reuse shows up in
@@ -470,7 +467,6 @@ class _FactorState:
         "cached",
         "sampler",
         "mc_result",
-        "predicate",
         "stream",
         "store_key",
         "prior_hits",
@@ -479,7 +475,6 @@ class _FactorState:
         "prior_strata",
         "prior_fingerprint",
         "warm",
-        "rng",
         "zero_share_streak",
         "max_zero_share_streak",
     )
@@ -492,7 +487,6 @@ class _FactorState:
         self.cached = False
         self.sampler: Optional[StratifiedSampler] = None
         self.mc_result: Optional[SamplingResult] = None
-        self.predicate = None
         self.stream: Optional[SeedStream] = None
         # Persistent-store bookkeeping: the resolved key, how much of the
         # current accumulator state was *loaded* rather than drawn (so the
@@ -505,9 +499,6 @@ class _FactorState:
         self.prior_strata: Optional[Tuple[Tuple[int, int], ...]] = None
         self.prior_fingerprint: Optional[str] = None
         self.warm = False
-        # Serial-path override generator for warm-started factors (None on
-        # the sharded path and for cold factors, which use the shared rng).
-        self.rng: Optional[np.random.Generator] = None
         # Starvation counters for the run-health diagnostics: consecutive
         # rounds the cross-factor allocator granted this factor zero samples,
         # and the worst such streak over the run.
@@ -548,12 +539,11 @@ class _FactorState:
 class QCoralAnalyzer:
     """Compositional statistical quantification of constraint solution spaces.
 
-    When the configuration names an executor backend (or one is passed in),
-    every sampling round is planned as seeded, worker-count-independent task
-    chunks and dispatched through :mod:`repro.exec`; for a fixed seed the
-    analysis is then bit-identical across the serial, thread, and process
-    backends.  Without an executor the analyzer keeps the in-thread
-    single-stream sampling path, untouched by the executor subsystem.
+    Every sampling round is planned as seeded, worker-count-independent
+    task chunks and dispatched through :mod:`repro.exec` — on the configured
+    (or passed-in) executor, or in the calling thread without one.  For a
+    fixed seed the analysis is bit-identical with no executor and on the
+    serial, thread, and process backends.
     """
 
     def __init__(
@@ -567,7 +557,6 @@ class QCoralAnalyzer:
         self._profile = profile
         self._config = config
         self._solver = ICPSolver(config.icp)
-        self._rng = np.random.default_rng(config.seed)
         self._seed_stream = SeedStream(config.seed)
         # Borrowed, like executors/stores: the hub outlives the analyzer and
         # accumulates across analyses.  ``None`` resolves to the disabled
@@ -622,7 +611,7 @@ class QCoralAnalyzer:
 
     @property
     def executor(self) -> Optional[Executor]:
-        """The execution backend (None on the legacy in-thread path)."""
+        """The execution backend (None when tasks run in the calling thread)."""
         return self._executor
 
     @property
@@ -643,9 +632,7 @@ class QCoralAnalyzer:
     def reset(self, seed: Optional[int] = None) -> None:
         """Clear the factor cache and re-seed the random streams."""
         self._cache.clear()
-        effective = self._config.seed if seed is None else seed
-        self._rng = np.random.default_rng(effective)
-        self._seed_stream = SeedStream(effective)
+        self._seed_stream = SeedStream(self._config.seed if seed is None else seed)
 
     @property
     def closed(self) -> bool:
@@ -943,12 +930,10 @@ class QCoralAnalyzer:
                     self._cache.put(factor, state.exact)
                     self._obs.count("qcoral_store_outright_reuse_total")
                     return state
-        parallel = self._executor is not None
-        if parallel:
-            # Each factor owns one child stream, spawned in factor-creation
-            # order, so its chunk seeds are independent of every other
-            # factor's — and of the backend executing them.
-            state.stream = self._seed_stream.spawn(1)[0]
+        # Each factor owns one child stream, spawned in factor-creation order,
+        # so its chunk seeds are independent of every other factor's — and of
+        # the backend executing them.
+        state.stream = self._seed_stream.spawn(1)[0]
         if self._config.stratified:
             # The registered method spec owns sampler construction, so new
             # estimation methods plug in without edits here.  The hub is only
@@ -958,7 +943,6 @@ class QCoralAnalyzer:
             factory_kwargs = dict(
                 variables=variables,
                 solver=self._solver,
-                seed_stream=state.stream,
                 chunk_size=self._config.chunk_size,
                 config=self._config,
             )
@@ -967,7 +951,7 @@ class QCoralAnalyzer:
             sampler: StratifiedSampler = METHOD_REGISTRY.get(self._config.method).make_sampler(
                 factor,
                 self._profile,
-                None if parallel else self._rng,
+                state.stream,
                 **factory_kwargs,
             )
             if sampler.is_exact:
@@ -981,13 +965,8 @@ class QCoralAnalyzer:
                 from repro.lang.evaluator import holds_path_condition
 
                 state.exact = Estimate.exact(1.0 if holds_path_condition(factor, {}) else 0.0)
-            else:
-                if not parallel:
-                    # On the executor path workers compile (and cache) their
-                    # own predicate; compiling here would be wasted work.
-                    state.predicate = get_kernel(factor)
-                if entry is not None:
-                    self._warm_start_mc(state, entry)
+            elif entry is not None:
+                self._warm_start_mc(state, entry)
         if state.warm and self._need(state) == 0:
             # The stored counts already cover this run's budget: the factor
             # is a finished cross-run reuse, frozen before any sampling.
@@ -1010,28 +989,13 @@ class QCoralAnalyzer:
         With the same master seed, a warm-started factor then draws exactly
         the chunks a single long run would have drawn after the prior's —
         which makes resumed sampling bit-identical to one long run whenever
-        the prior budget ended on a chunk boundary.  Serial-path priors
-        (``spawned == 0``) and foreign-seed priors fast-forward harmlessly.
-
-        On the serial path (no per-factor stream) the danger runs the other
-        way: re-using the master seed that produced the prior would *replay*
-        the exact sample stream already pooled in the store, and pooling
-        duplicates is not pooling.  Warm-started factors there switch to a
-        continuation-indexed generator — seeded by the master seed, the
-        factor's store key, and the prior's sample count — which is fresh
-        for every continuation depth yet fully deterministic.
+        the prior budget ended on a chunk boundary, and never replays a
+        sample the prior already pooled.  Foreign-seed priors fast-forward
+        harmlessly.
         """
-        if state.stream is not None:
-            if spawned > 0:
-                state.stream.spawn(spawned)
-            state.prior_spawned = state.stream.children_spawned
-            return
-        digest32 = int(state.store_key.digest[:8], 16)
-        prior_low, prior_high = state.prior_samples % 2**32, state.prior_samples // 2**32
-        sequence = np.random.SeedSequence(self._config.seed, spawn_key=(digest32, prior_low, prior_high))
-        state.rng = np.random.default_rng(sequence)
-        if state.sampler is not None:
-            state.sampler.reseed(state.rng)
+        if spawned > 0:
+            state.stream.spawn(spawned)
+        state.prior_spawned = state.stream.children_spawned
 
     def _warm_start_mc(self, state: _FactorState, entry: StoreEntry) -> None:
         if entry.kind != "mc" or entry.samples <= 0:
@@ -1079,9 +1043,7 @@ class QCoralAnalyzer:
                 self._cache.publish(key, delta, merged_into_prior=state.warm)
 
     def _delta_entry(self, state: _FactorState) -> Optional[StoreEntry]:
-        spawned = 0
-        if state.stream is not None:
-            spawned = state.stream.children_spawned - state.prior_spawned
+        spawned = state.stream.children_spawned - state.prior_spawned
         if state.sampler is not None:
             if state.fresh_samples <= 0:
                 return None
@@ -1192,12 +1154,7 @@ class QCoralAnalyzer:
                         if state.zero_share_streak > state.max_zero_share_streak:
                             state.max_zero_share_streak = state.zero_share_streak
 
-                if self._executor is not None:
-                    used = self._run_parallel_round(active, shares)
-                else:
-                    used = 0
-                    for state, share in zip(active, shares):
-                        used += self._extend_factor(state, share)
+                used = self._run_round(active, shares)
                 spent += used
 
             combined = self._combined_estimate(plan)
@@ -1222,7 +1179,7 @@ class QCoralAnalyzer:
 
         return tuple(rounds)
 
-    def _run_parallel_round(self, active: Sequence[_FactorState], shares: Sequence[int]) -> int:
+    def _run_round(self, active: Sequence[_FactorState], shares: Sequence[int]) -> int:
         """Plan one round across *all* factors and run it as one task batch.
 
         Batching the whole round keeps every worker busy even when a single
@@ -1260,8 +1217,6 @@ class QCoralAnalyzer:
         self, state: _FactorState, share: int
     ) -> List[Tuple[_FactorState, Optional[int], SamplingTask]]:
         """Shard one plain hit-or-miss factor's share into seeded chunks."""
-        from repro.exec.scheduler import DEFAULT_CHUNK_SIZE
-
         chunk_size = self._config.chunk_size if self._config.chunk_size is not None else DEFAULT_CHUNK_SIZE
         return [
             (
@@ -1277,28 +1232,6 @@ class QCoralAnalyzer:
             )
             for chunk in shard_budget(share, chunk_size)
         ]
-
-    def _extend_factor(self, state: _FactorState, budget: int) -> int:
-        if budget <= 0 or not state.sampleable:
-            return 0
-        if state.sampler is not None:
-            return state.sampler.extend(budget, allocation=self._config.allocation)
-        prior_hits = state.mc_result.hits if state.mc_result is not None else 0
-        result = hit_or_miss(
-            state.factor,
-            self._profile,
-            budget,
-            state.rng if state.rng is not None else self._rng,
-            variables=state.variables,
-            predicate=state.predicate,
-            prior=state.mc_result,
-        )
-        drawn = result.samples - (state.mc_result.samples if state.mc_result is not None else 0)
-        state.mc_result = result
-        if drawn and self._obs.enabled:
-            self._obs.count("sampler_draws_total", drawn, method="montecarlo")
-            self._obs.count("sampler_hits_total", result.hits - prior_hits, method="montecarlo")
-        return drawn
 
     def _factor_priorities(
         self,

@@ -256,6 +256,23 @@ class PathCondition:
         """Deterministic textual form with sorted conjuncts."""
         return " && ".join(sorted(c.canonical() for c in self.constraints)) or "true"
 
+    def __hash__(self) -> int:
+        # Kernel and plan lookups hash the same path condition once per
+        # sampling task, and the field hash recurses through every node, so
+        # it is computed once.  The cache sits outside the dataclass fields
+        # (equality ignores it) and is dropped from pickles, because string
+        # hashes differ between interpreters.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.constraints, self.label))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def __len__(self) -> int:
         return len(self.constraints)
 

@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.errors import ReproError
+from repro.jsonl import append_line, is_torn
 from repro.obs.diagnostics import Diagnostic, diagnostics_from_payload
 
 #: Schema tag stamped on every ledger entry.
@@ -38,6 +40,10 @@ LEDGER_SCHEMA = "qcoral-ledger-1"
 
 #: Registered ledger backends (mirrors ``STORE_BACKENDS`` naming).
 LEDGER_BACKENDS = ("memory", "jsonl", "sqlite")
+
+
+class LedgerError(ReproError):
+    """Raised when a committed ledger record cannot be read back."""
 
 
 def config_fingerprint(config: Any) -> str:
@@ -238,8 +244,7 @@ class JsonlLedger(RunLedger):
     def append(self, entry: LedgerEntry) -> None:
         with self._lock:
             self._check_open()
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+            append_line(self._path, json.dumps(entry.to_dict(), sort_keys=True) + "\n")
 
     def entries(self, family: Optional[str] = None) -> List[LedgerEntry]:
         with self._lock:
@@ -249,14 +254,17 @@ class JsonlLedger(RunLedger):
             results: List[LedgerEntry] = []
             with open(self._path, "r", encoding="utf-8") as handle:
                 for line_number, line in enumerate(handle, start=1):
+                    if is_torn(line):
+                        # An append cut short by a crash (or still in flight
+                        # on the final line): never a committed entry.
+                        continue
                     line = line.strip()
                     if not line:
                         continue
                     try:
-                        payload = json.loads(line)
-                    except json.JSONDecodeError as error:
-                        raise ValueError(f"{self._path}:{line_number}: not valid JSON: {error}") from None
-                    entry = LedgerEntry.from_dict(payload)
+                        entry = LedgerEntry.from_dict(json.loads(line))
+                    except (TypeError, ValueError) as error:
+                        raise LedgerError(f"{self._path}:{line_number}: corrupt ledger entry: {error}") from None
                     if family is None or entry.family == family:
                         results.append(entry)
             return results

@@ -31,6 +31,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.jsonl import append_line, is_torn
 from repro.registry import Registry
 from repro.store.entry import StoreEntry, StoreError
 
@@ -269,6 +270,8 @@ class JsonlStore(EstimateStore):
                     # A concurrent writer's partial line; pick it up next time.
                     break
                 self._folded_size += len(line.encode("utf-8"))
+                if is_torn(line):
+                    continue  # a crashed append, closed off by a later one
                 line = line.strip()
                 if not line:
                     continue
@@ -290,14 +293,13 @@ class JsonlStore(EstimateStore):
         existing = self._entries.get(key)
         merged = existing.merge(delta) if existing is not None else delta
         record = {"key": key, **delta.to_dict()}
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+        written = append_line(self._path, json.dumps(record, sort_keys=True) + "\n")
         # Our own append is folded immediately; _folded_size tracks the file,
         # so count the bytes we just wrote as folded only when nobody else
-        # appended in between (otherwise the next refresh refolds cleanly).
-        if os.path.getsize(self._path) == self._folded_size + len(line.encode("utf-8")):
-            self._folded_size += len(line.encode("utf-8"))
+        # appended in between and no torn tail preceded them (otherwise the
+        # refresh refolds cleanly, skipping the closed-off fragment).
+        if os.path.getsize(self._path) == self._folded_size + written:
+            self._folded_size += written
             self._entries[key] = merged
         else:
             self._refresh()

@@ -57,7 +57,7 @@ class StoreEntry:
             reproducible — the solver has a wall-clock budget — so counts may
             only be reused or pooled when the fingerprints agree.
         spawned: Seed-stream children consumed drawing these samples (the
-            warm-start fast-forward distance on the sharded path).
+            warm-start fast-forward distance).
         runs: How many run deltas have been merged into this entry.
         pc_text: Alpha-renamed canonical constraint text (debugging aid; the
             key already commits to it).

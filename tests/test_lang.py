@@ -1,6 +1,10 @@
 """Unit tests for the constraint language: AST, parser, evaluation, simplification."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +78,32 @@ class TestAst:
         cs = parse_constraint_set("x <= 1 || x > 1 && y <= 0")
         assert len(cs) == 2
         assert cs.free_variables() == {"x", "y"}
+
+    def test_path_condition_hash_is_cached_outside_equality(self):
+        hashed = parse_path_condition("x * x + sin(y) <= 1 && y >= 0")
+        fresh = parse_path_condition("x * x + sin(y) <= 1 && y >= 0")
+        assert hash(hashed) == hash((hashed.constraints, hashed.label))
+        assert "_hash" in vars(hashed) and "_hash" not in vars(fresh)
+        assert hashed == fresh and hash(hashed) == hash(fresh)
+        assert {hashed: 1}[fresh] == 1
+
+    def test_path_condition_hash_is_not_pickled(self):
+        """A spawn-started worker hashes strings differently: it must rehash."""
+        text = "x * x + sin(y) <= 1 && y >= 0"
+        pc = parse_path_condition(text)
+        hash(pc)
+        payload = pickle.dumps(pc)
+        assert "_hash" not in vars(pickle.loads(payload))
+        script = (
+            "import pickle, sys\n"
+            "from repro.lang.parser import parse_path_condition\n"
+            "pc = pickle.loads(sys.stdin.buffer.read())\n"
+            f"assert hash(pc) == hash(parse_path_condition({text!r}))\n"
+        )
+        other_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=other_seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        subprocess.run([sys.executable, "-c", script], input=payload, env=env, check=True)
 
 
 class TestParser:

@@ -103,6 +103,27 @@ def test_obs_on_sqlite_ledger(tmp_path, capsys):
     assert main(["obs", "diff", str(path)]) == 0
 
 
+def test_obs_history_skips_a_torn_final_append(ledger_path, tmp_path, capsys):
+    _quantify(tmp_path, seed=12, ledger=ledger_path)
+    intact = ledger_path.read_bytes()
+    ledger_path.write_bytes(intact[:-7])  # the third append was cut short
+    assert main(["obs", "history", str(ledger_path)]) == 0
+    assert "2 run(s)" in capsys.readouterr().out
+    # The next append closes the fragment off instead of gluing onto it.
+    _quantify(tmp_path, seed=13, ledger=ledger_path)
+    assert main(["obs", "history", str(ledger_path)]) == 0
+    assert "3 run(s)" in capsys.readouterr().out
+
+
+def test_obs_history_names_a_corrupt_committed_line(ledger_path, capsys):
+    with open(ledger_path, "a", encoding="utf-8") as handle:
+        handle.write("{not json\n")
+    assert main(["obs", "history", str(ledger_path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {ledger_path}:3: corrupt ledger entry" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_obs_lint_trace_accepts_real_trace(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     _quantify(tmp_path, trace=trace)

@@ -113,17 +113,15 @@ def test_metrics_merge_deterministic_across_worker_counts():
 
 
 def test_backends_agree_on_engine_counters():
-    # Thread and process pools share the sharded deterministic path, so every
-    # engine counter — including raw hit counts — must match between them.
-    # The serial (executor=None) in-thread path is a different deterministic
-    # stream by design; only its budget-level counters are comparable.
+    # No executor, the thread pool and the process pool all run the same
+    # seeded task plan, so every engine counter — including raw hit counts —
+    # must match between them.
+    default = _run(observability=Observability())
     threaded = _run(executor="thread", workers=2, observability=Observability())
     process = _run(executor="process", workers=2, observability=Observability())
+    assert _deterministic_counters(default.metrics) == _deterministic_counters(threaded.metrics)
     assert _deterministic_counters(threaded.metrics) == _deterministic_counters(process.metrics)
-    serial = _run(observability=Observability())
-    assert serial.metrics.counter_total("sampler_draws_total") == SAMPLES
-    assert threaded.metrics.counter_total("sampler_draws_total") == SAMPLES
-    assert serial.metrics.counter("qcoral_rounds_total") == threaded.metrics.counter("qcoral_rounds_total")
+    assert default.metrics.counter_total("sampler_draws_total") == SAMPLES
 
 
 # --------------------------------------------------------------------------- #
@@ -273,12 +271,15 @@ def _normalised_metrics_block():
 
     Timings are nondeterministic, so histograms are reduced to their
     observation counts; ``kernel_*`` counters depend on what earlier tests
-    left in the process-global kernel cache and are dropped.
+    left in the process-global kernel cache, and ``exec_worker_*`` counters
+    carry a ``pid:thread`` label and busy seconds, so both are dropped.
     """
     report = _run(observability=Observability())
     block = report.to_dict()["metrics"]
     return {
-        "counters": {key: value for key, value in block["counters"].items() if not key.startswith("kernel_")},
+        "counters": {
+            key: value for key, value in block["counters"].items() if not key.startswith(("kernel_", "exec_worker_"))
+        },
         "gauges": block["gauges"],
         "histogram_counts": {key: value["count"] for key, value in block["histograms"].items()},
     }

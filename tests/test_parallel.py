@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.analysis.runner import repeat_analysis, repeat_quantification, trial_seeds
 from repro.cli import main
 from repro.core.cache import EstimateCache
@@ -174,10 +175,10 @@ class TestStratifiedParallel:
         """Running a plan elsewhere and absorbing equals in-place extension."""
         pc = parse_path_condition("x * x + y * y <= 1")
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
-        direct = StratifiedSampler(pc, profile, None, seed_stream=SeedStream(21), chunk_size=CHUNK)
+        direct = StratifiedSampler(pc, profile, 21, chunk_size=CHUNK)
         direct.extend(2_000)
 
-        planned_sampler = StratifiedSampler(pc, profile, None, seed_stream=SeedStream(21), chunk_size=CHUNK)
+        planned_sampler = StratifiedSampler(pc, profile, 21, chunk_size=CHUNK)
         planned = planned_sampler.plan_extension(2_000)
         assert planned, "expected at least one sampleable stratum"
         for (stratum_index, task), (hits, samples) in zip(
@@ -187,20 +188,32 @@ class TestStratifiedParallel:
         assert planned_sampler.estimate() == direct.estimate()
         assert planned_sampler.total_samples == direct.total_samples == 2_000
 
-    def test_sampler_requires_rng_or_stream(self):
-        pc = parse_path_condition("x >= 0")
-        with pytest.raises(ConfigurationError):
-            StratifiedSampler(pc, UsageProfile.uniform({"x": (-1, 1)}), None)
+    def test_sampler_shares_the_callers_seed_stream(self):
+        """A SeedStream seed is shared, so the caller sees every spawned chunk seed."""
+        pc = parse_path_condition("x * x + y * y <= 1")
+        profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
+        stream = SeedStream(3)
+        sampler = StratifiedSampler(pc, profile, stream, chunk_size=CHUNK)
+        planned = sampler.plan_extension(3 * CHUNK)
+        assert stream.children_spawned == len(planned) > 0
+        # An integer seed is the same master seed as the stream built from it.
+        from_int = StratifiedSampler(pc, profile, 3, chunk_size=CHUNK)
+        from_int.extend(3 * CHUNK)
+        for (stratum_index, _), (hits, samples) in zip(
+            planned, run_sampling_tasks(None, [task for _, task in planned])
+        ):
+            sampler.absorb_chunk(stratum_index, hits, samples)
+        assert sampler.estimate() == from_int.estimate()
+        # None draws fresh entropy rather than failing.
+        assert StratifiedSampler(pc, profile, None).extend(100) == 100
 
     def test_executor_backed_extend_matches_serial(self):
         pc = parse_path_condition("x * x + y * y <= 1")
         profile = UsageProfile.uniform({"x": (-1, 1), "y": (-1, 1)})
-        serial = StratifiedSampler(pc, profile, None, seed_stream=SeedStream(8), chunk_size=CHUNK)
+        serial = StratifiedSampler(pc, profile, 8, chunk_size=CHUNK)
         serial.extend(1_500)
         with make_executor("thread", workers=3) as backend:
-            threaded = StratifiedSampler(
-                pc, profile, None, seed_stream=SeedStream(8), executor=backend, chunk_size=CHUNK
-            )
+            threaded = StratifiedSampler(pc, profile, 8, executor=backend, chunk_size=CHUNK)
             threaded.extend(1_500)
         assert threaded.estimate() == serial.estimate()
 
@@ -252,13 +265,15 @@ class TestAnalyzerDeterminism:
 
         assert run("serial", None).estimate == run("thread", 2).estimate
 
-    def test_legacy_path_unchanged_by_default(self):
-        """executor=None keeps the pre-subsystem single-stream behaviour."""
-        config = QCoralConfig(samples_per_query=2_000, seed=13)
+    def test_default_path_matches_serial_executor(self):
+        """executor=None runs the same seeded tasks in the calling thread."""
+        config = QCoralConfig(samples_per_query=2_000, seed=13, chunk_size=CHUNK)
         first = quantify(parse_constraint_set(CONSTRAINTS), _profile(), config)
         second = quantify(parse_constraint_set(CONSTRAINTS), _profile(), config)
-        assert first.estimate == second.estimate
+        serial = quantify(parse_constraint_set(CONSTRAINTS), _profile(), config.with_executor("serial"))
+        assert first.estimate == second.estimate == serial.estimate
         assert first.executor is None
+        assert serial.executor == "serial"
 
     def test_executor_recorded_in_repr(self):
         config = QCoralConfig(samples_per_query=1_000, seed=1, executor="thread", workers=2, chunk_size=CHUNK)
@@ -286,6 +301,55 @@ class TestAnalyzerDeterminism:
             assert backend.map(_double, [21]) == [42]
         finally:
             backend.close()
+
+
+#: One configuration per sampling shape the analyzer plans: ICP-stratified
+#: hit-or-miss (even split), importance sampling with adaptive splits,
+#: whole-domain hit-or-miss (no STRAT, no PARTCACHE), and Neyman allocation.
+MATRIX_CONFIGS = {
+    "stratified": QCoralConfig.strat_partcache(3_000, seed=5),
+    "importance-adaptive": QCoralConfig.importance(3_000, seed=5, mass_split_adaptive=2),
+    "plain": QCoralConfig.plain(3_000, seed=5),
+    "neyman": QCoralConfig(samples_per_query=3_000, seed=5, allocation="neyman"),
+}
+
+MATRIX_BACKENDS = ((None, None), ("serial", None), ("thread", 2), ("process", 2))
+
+
+def _comparable(report):
+    """``Report.to_dict()`` without the wall clock and the backend label."""
+    payload = report.to_dict()
+    payload.pop("time")
+    payload.pop("executor")
+    return payload
+
+
+class TestBackendAgreementMatrix:
+    """No executor and every backend run one seeded task plan: same reports."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        bounds = {"x": (-1, 1), "y": (-1, 1), "z": (0, 1)}
+        results = {}
+        for kind, workers in MATRIX_BACKENDS:
+            with Session(executor=kind, workers=workers, store_backend="memory") as session:
+                for name, config in MATRIX_CONFIGS.items():
+                    results[kind, name] = _comparable(session.quantify(CONSTRAINTS, bounds, config=config).run())
+                # Resume: a short run fills the memory store, a longer one
+                # warm-starts from its counts and draws only the difference.
+                session.quantify(CONSTRAINTS, bounds, config=QCoralConfig.strat_partcache(1_000, seed=3)).run()
+                resumed = session.quantify(CONSTRAINTS, bounds, config=QCoralConfig.strat_partcache(2_500, seed=3))
+                results[kind, "resumed"] = _comparable(resumed.run())
+        return results
+
+    @pytest.mark.parametrize("name", [*MATRIX_CONFIGS, "resumed"])
+    def test_every_backend_matches_the_default_path(self, reports, name):
+        default = reports[None, name]
+        for kind, _ in MATRIX_BACKENDS[1:]:
+            assert reports[kind, name] == default, f"{kind} differs from executor=None on {name}"
+
+    def test_resumed_run_reused_the_store(self, reports):
+        assert reports[None, "resumed"]["cache"]["warm_starts"] > 0
 
 
 class TestThreadSafeCache:

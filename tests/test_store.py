@@ -210,6 +210,28 @@ class TestBackends:
         assert reopened.get("key").samples == 110
         reopened.close()
 
+    def test_jsonl_torn_tail_never_swallows_the_next_delta(self, tmp_path):
+        """A crash mid-append must not cost the next merge its record."""
+        path = tmp_path / "store.jsonl"
+        store = JsonlStore(str(path))
+        store.merge("a", StoreEntry.from_mc(1, 10))
+        store.merge("b", StoreEntry.from_mc(2, 20))
+        store.close()
+        intact = path.read_bytes()
+        last_record = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        for cut in range(last_record, len(intact)):
+            path.write_bytes(intact[:cut])
+            torn = JsonlStore(str(path))
+            torn.merge("c", StoreEntry.from_mc(3, 30))
+            assert torn.get("c").samples == 30
+            torn.close()
+            reopened = JsonlStore(str(path))
+            assert reopened.get("a").samples == 10, cut
+            assert reopened.get("c").samples == 30, cut
+            # The newline commits a record: a cut one short of it loses "b".
+            assert reopened.get("b") is None
+            reopened.close()
+
     def test_paving_mismatch_keeps_larger_pool(self):
         bigger = StoreEntry.from_strata(((10, 100),), paving="A")
         smaller = StoreEntry.from_strata(((1, 10), (2, 20)), paving="B")
@@ -413,7 +435,7 @@ class TestAnalyzerReuse:
         store.close()
 
     def test_same_seed_topup_draws_fresh_samples(self, tmp_path):
-        """A serial-path continuation must not replay the prior's stream."""
+        """A same-seed continuation with no executor must not replay the prior's stream."""
         store = open_store(str(tmp_path / "store.db"))
         constraint_set = parse_constraint_set(CIRCLE)
         with QCoralAnalyzer(PROFILE_2D, QCoralConfig.strat_partcache(4000, seed=9), store=store) as cold:
