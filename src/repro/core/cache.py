@@ -8,7 +8,9 @@ condition or in the same one after simplification.
 The cache has two tiers:
 
 * **L1** — the in-memory, in-run map of the paper: canonical text of the
-  simplified factor → finished :class:`Estimate`.  Dies with the analyzer.
+  simplified factor (:meth:`EstimateCache.key_for`, computed once per factor
+  occurrence while the analyzer plans) → finished :class:`Estimate`.  Dies
+  with the analyzer.
 * **L2** — an optional persistent :class:`~repro.store.backends.EstimateStore`
   shared across runs and processes.  L2 keys are stronger than L1 keys
   (alpha-renamed text plus a profile/estimator fingerprint, see
@@ -27,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.estimate import Estimate
 from repro.lang import ast
@@ -101,8 +103,7 @@ class EstimateCache:
         self._store = store
         self._context = context
         self._obs = ensure_observability(observability)
-        # Reentrant so get_or_compute may call get/put while holding it.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     @property
     def statistics(self) -> CacheStatistics:
@@ -123,22 +124,20 @@ class EstimateCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, factor: ast.PathCondition) -> bool:
-        key = self.key_for(factor)
-        with self._lock:
-            return key in self._entries
-
     @staticmethod
     def key_for(factor: ast.PathCondition) -> str:
-        """Canonical L1 cache key of a factor (order-insensitive, simplified)."""
+        """Canonical L1 cache key of a factor (order-insensitive, simplified).
+
+        The analyzer computes it once per factor occurrence while planning and
+        passes the string to :meth:`get` and :meth:`put`.
+        """
         return simplify_path_condition(factor).canonical()
 
     # ------------------------------------------------------------------ #
     # L1: the in-run tier
     # ------------------------------------------------------------------ #
-    def get(self, factor: ast.PathCondition) -> Optional[Estimate]:
-        """Cached estimate for ``factor`` or None, updating the counters."""
-        key = self.key_for(factor)
+    def get(self, key: str) -> Optional[Estimate]:
+        """Cached estimate under ``key`` (from :meth:`key_for`) or None, updating the counters."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -147,9 +146,8 @@ class EstimateCache:
                 self._statistics.hits += 1
             return entry
 
-    def put(self, factor: ast.PathCondition, estimate: Estimate) -> None:
-        """Store the estimate for ``factor``."""
-        key = self.key_for(factor)
+    def put(self, key: str, estimate: Estimate) -> None:
+        """Store ``estimate`` under ``key`` (from :meth:`key_for`)."""
         with self._lock:
             self._entries[key] = estimate
 
@@ -169,21 +167,6 @@ class EstimateCache:
         with self._lock:
             self._statistics.warm_starts += 1
         self._obs.count("store_warm_starts_total")
-
-    def get_or_compute(self, factor: ast.PathCondition, compute: Callable[[], Estimate]) -> Estimate:
-        """Return the cached estimate or compute, store, and return a new one.
-
-        ``compute`` runs outside the lock (it may sample for a long time), so
-        two threads racing on the same missing factor may both compute it;
-        the last store wins, which is safe because both computed the same
-        factor.
-        """
-        cached = self.get(factor)
-        if cached is not None:
-            return cached
-        estimate = compute()
-        self.put(factor, estimate)
-        return estimate
 
     # ------------------------------------------------------------------ #
     # L2: the persistent tier

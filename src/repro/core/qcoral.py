@@ -47,7 +47,7 @@ from repro.core.composition import (
 from repro.core.dependency import DependencyPartition, compute_dependency_partition
 from repro.core.estimate import Estimate
 from repro.core.importance import DEFAULT_MASS_SPLIT_BOXES
-from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY
+from repro.core.methods import ESTIMATION_METHODS, METHOD_REGISTRY, store_method_tag
 from repro.core.montecarlo import SamplingResult
 from repro.core.profiles import UsageProfile
 from repro.core.stratified import (
@@ -72,7 +72,7 @@ from repro.obs.ledger import config_fingerprint
 from repro.obs.metrics import MetricsSnapshot
 from repro.store.backends import STORE_BACKENDS, EstimateStore, StoreStatistics, open_store
 from repro.store.entry import StoreEntry
-from repro.store.keys import FactorKey, StoreContext, mc_method
+from repro.store.keys import FactorKey, StoreContext
 
 #: Rounds used when an adaptive feature is requested without an explicit
 #: ``max_rounds`` (pilot + re-allocation rounds).
@@ -325,6 +325,10 @@ class FactorReport:
     samples: int
     #: True when the factor resumed sampling from persistent-store counts.
     warm: bool = False
+    #: Persistent-store digest the run keyed the factor under; None when the
+    #: run did not key it (no store, or an in-run cache hit).  The run ledger
+    #: reuses it instead of keying the factor again.
+    store_key: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -582,15 +586,7 @@ class QCoralAnalyzer:
             self._store = None
             self._owns_store = False
         if self._store is not None and config.partition_and_cache:
-            if not config.stratified:
-                method = mc_method()
-            else:
-                # Each registered estimation method supplies its own store
-                # tag, keying its counts apart from every other method's (an
-                # importance-sampled count over a mass-refined paving must
-                # never pool with a hit-or-miss count, by construction).
-                method = METHOD_REGISTRY.get(config.method).store_method(config)
-            context = StoreContext(profile, method)
+            context = StoreContext(profile, store_method_tag(config))
             self._cache = EstimateCache(self._store, context, observability=self._obs)
         else:
             # The store persists exactly what PARTCACHE caches; without the
@@ -762,7 +758,7 @@ class QCoralAnalyzer:
         if self._config.partition_and_cache:
             for state in states:
                 if not state.cached:
-                    self._cache.put(state.factor, state.estimate())
+                    self._cache.put(state.key, state.estimate())
             self._publish_states(states)
 
         estimate = compose_disjoint_path_conditions(report.estimate for report in reports)
@@ -855,7 +851,7 @@ class QCoralAnalyzer:
         if self._config.partition_and_cache:
             for state in states:
                 if not state.cached:
-                    self._cache.put(state.factor, state.estimate())
+                    self._cache.put(state.key, state.estimate())
             self._publish_states(states)
         return report
 
@@ -885,6 +881,10 @@ class QCoralAnalyzer:
         Each plan entry pairs a path condition with its factors; an occurrence
         is ``(state, first)`` where ``first`` marks the occurrence that owns
         the state's samples (later occurrences are in-run cache shares).
+        This is the one place a factor's identity is decided: each occurrence
+        is keyed once here, the L1 cache reads and writes under the state's
+        ``key``, and the store digest a new state resolves (``store_key``)
+        travels on to the report and the run ledger.
         """
         states: Dict[str, _FactorState] = {}
         plan: List[Tuple[ast.PathCondition, List[Tuple[_FactorState, bool]]]] = []
@@ -914,7 +914,7 @@ class QCoralAnalyzer:
         state = _FactorState(key, factor, variables)
         entry: Optional[StoreEntry] = None
         if self._config.partition_and_cache:
-            cached = self._cache.get(factor)
+            cached = self._cache.get(key)
             if cached is not None:
                 state.exact = cached
                 state.cached = True
@@ -927,7 +927,7 @@ class QCoralAnalyzer:
                     # (ICP-exact); reuse skips even the paving work.
                     state.exact = Estimate.exact(entry.exact_mean)
                     state.cached = True
-                    self._cache.put(factor, state.exact)
+                    self._cache.put(key, state.exact)
                     self._obs.count("qcoral_store_outright_reuse_total")
                     return state
         # Each factor owns one child stream, spawned in factor-creation order,
@@ -972,7 +972,7 @@ class QCoralAnalyzer:
             # is a finished cross-run reuse, frozen before any sampling.
             state.exact = state.estimate()
             state.cached = True
-            self._cache.put(factor, state.exact)
+            self._cache.put(key, state.exact)
             self._obs.count("qcoral_store_warm_freeze_total")
         return state
 
@@ -1313,6 +1313,7 @@ class QCoralAnalyzer:
                     from_cache=state.cached or not first,
                     samples=state.fresh_samples if owns_samples else 0,
                     warm=state.warm,
+                    store_key=state.store_key.digest if state.store_key is not None else None,
                 )
             )
         estimate = compose_independent_factors(report.estimate for report in factor_reports)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.cache import EstimateCache
 from repro.core.dependency import compute_dependency_partition
 from repro.core.methods import store_method_tag
 from repro.core.profiles import UsageProfile
@@ -166,7 +167,9 @@ def factor_versions(
     per-block grouping) so the digests here are exactly the keys the
     analyzer will look up in the store.  Returns digest → version; a factor
     appearing in several path conditions resolves to one entry, like the
-    engine's in-run sharing.
+    engine's in-run sharing: occurrences are de-duplicated on the engine's
+    in-run key before the (costly) store key is computed, once per distinct
+    factor.
     """
     profile.check_covers(constraint_set.free_variables())
     path_conditions = [
@@ -175,10 +178,15 @@ def factor_versions(
     partition = compute_dependency_partition(path_conditions)
     context = StoreContext(profile, method)
     versions: Dict[str, FactorVersion] = {}
+    keyed = set()
     for pc in path_conditions:
         if not pc.constraints:
             continue
         for _, factor in group_constraints_by_block(pc, tuple(partition)):
+            in_run_key = EstimateCache.key_for(factor)
+            if in_run_key in keyed:
+                continue
+            keyed.add(in_run_key)
             key = context.key_for(factor)
             if key.digest not in versions:
                 versions[key.digest] = FactorVersion(
@@ -186,7 +194,7 @@ def factor_versions(
                     text=key.pc_text,
                     fingerprint=key.fingerprint,
                     variables=key.variables,
-                    skeleton=skeleton(factor),
+                    skeleton=skeleton(key.pc_text),
                     factor=factor,
                 )
     return versions

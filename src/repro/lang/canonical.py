@@ -178,9 +178,10 @@ _SKELETON_NUMBER = "#"
 _NUMBER_PATTERN = re.compile(r"\b\d+(?:\.\d+)?(?:[eE][-+]?\d+)?\b")
 
 
-def skeleton(pc: ast.PathCondition) -> str:
-    """The structural skeleton of a factor: alpha-canonical text with every
-    numeric literal abstracted to ``#``.
+def skeleton(alpha_text: str) -> str:
+    """The structural skeleton of a factor: its alpha-canonical text (as
+    :func:`alpha_canonical` or a store key's ``pc_text`` renders it) with
+    every numeric literal abstracted to ``#``.
 
     Two versions of an evolving program typically edit a factor by moving a
     threshold (``sin(c) <= 0.5`` → ``sin(c) <= 0.7``); the skeletons of the
@@ -189,4 +190,4 @@ def skeleton(pc: ast.PathCondition) -> str:
     it.  A skeleton is a *pairing heuristic* only — never a reuse key: reuse
     always goes through the exact store digests of :mod:`repro.store.keys`.
     """
-    return _NUMBER_PATTERN.sub(_SKELETON_NUMBER, alpha_canonical(pc).text)
+    return _NUMBER_PATTERN.sub(_SKELETON_NUMBER, alpha_text)

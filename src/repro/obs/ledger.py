@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import DomainError, ReproError
 from repro.jsonl import append_line, is_torn
 from repro.obs.diagnostics import Diagnostic, diagnostics_from_payload
 
@@ -351,32 +351,34 @@ def _canonical_factor_keys(report: Any, profile: Any) -> Tuple[str, Tuple[str, .
     """The (method tag, sorted factor digests) identifying a run's family.
 
     Reuses the estimate store's canonical keys when a usage profile is
-    available (so ledger families line up with store sharing); otherwise
-    hashes the factors' canonical text.  Core/store imports live inside the
-    function — ``repro.core.stratified`` imports ``repro.obs``, so importing
-    the other direction at module level would cycle.
+    available (so ledger families line up with store sharing): each distinct
+    factor is keyed once, and a digest the run already computed
+    (``FactorReport.store_key``) is taken as it is.  Without a profile — or
+    with one that lacks a factor's variable — the factors' canonical text is
+    hashed instead.  Core/store imports live inside the function —
+    ``repro.core.stratified`` imports ``repro.obs``, so importing the other
+    direction at module level would cycle.
     """
     from repro.core.methods import store_method_tag
     from repro.store.keys import StoreContext
 
     config = report.config
-    method_tag = report.method
-    context = None
-    if config is not None:
-        method_tag = store_method_tag(config)
-        if profile is not None:
-            context = StoreContext(profile, method_tag)
-    digests: List[str] = []
+    method_tag = report.method if config is None else store_method_tag(config)
+    distinct: Dict[str, Any] = {}
     for path_report in report.path_reports:
         for factor_report in path_report.factors:
-            if context is not None:
-                try:
-                    digests.append(context.key_for(factor_report.factor).digest)
-                    continue
-                except Exception:  # profile missing a variable: fall back to text
-                    context = None
-            canonical = factor_report.factor.canonical()
-            digests.append(hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+            distinct.setdefault(factor_report.factor.canonical(), factor_report)
+    if config is not None and profile is not None:
+        context = StoreContext(profile, method_tag)
+        try:
+            digests = [
+                factor_report.store_key or context.key_for(factor_report.factor).digest
+                for factor_report in distinct.values()
+            ]
+            return method_tag, tuple(sorted(set(digests)))
+        except DomainError:  # the profile lacks a factor's variable
+            pass
+    digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in distinct]
     return method_tag, tuple(sorted(set(digests)))
 
 
@@ -399,7 +401,8 @@ def ledger_entry_for(report: Any, profile: Any = None, *, created: Optional[floa
 
     ``report`` is a :class:`~repro.api.report.Report`; ``profile`` the usage
     profile the run quantified under (when available, factor keys reuse the
-    store's canonical digests).  ``created`` defaults to the current time.
+    store's canonical digests, including those the run itself computed).
+    ``created`` defaults to the current time.
     """
     from repro import __version__
     from repro.store.keys import ESTIMATOR_VERSION

@@ -84,56 +84,36 @@ class TestDependencyPartition:
 class TestEstimateCache:
     def test_miss_then_hit(self):
         cache = EstimateCache()
-        factor = parse_path_condition("x <= 1 && y >= 0")
-        assert cache.get(factor) is None
-        cache.put(factor, Estimate(0.5, 0.01))
-        assert cache.get(factor) == Estimate(0.5, 0.01)
+        key = EstimateCache.key_for(parse_path_condition("x <= 1 && y >= 0"))
+        assert cache.get(key) is None
+        cache.put(key, Estimate(0.5, 0.01))
+        assert cache.get(key) == Estimate(0.5, 0.01)
         assert cache.statistics.hits == 1
         assert cache.statistics.misses == 1
 
     def test_key_is_order_insensitive(self):
-        cache = EstimateCache()
-        cache.put(parse_path_condition("x <= 1 && y >= 0"), Estimate(0.25, 0.0))
-        assert cache.get(parse_path_condition("y >= 0 && x <= 1")) is not None
+        assert EstimateCache.key_for(parse_path_condition("x <= 1 && y >= 0")) == EstimateCache.key_for(
+            parse_path_condition("y >= 0 && x <= 1")
+        )
 
     def test_key_uses_simplified_form(self):
-        cache = EstimateCache()
-        cache.put(parse_path_condition("x <= 2 * 3"), Estimate(0.1, 0.0))
-        assert cache.get(parse_path_condition("x <= 6")) is not None
-
-    def test_get_or_compute(self):
-        cache = EstimateCache()
-        factor = parse_path_condition("x <= 1")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return Estimate(0.5, 0.0)
-
-        first = cache.get_or_compute(factor, compute)
-        second = cache.get_or_compute(factor, compute)
-        assert first == second
-        assert len(calls) == 1
+        assert EstimateCache.key_for(parse_path_condition("x <= 2 * 3")) == EstimateCache.key_for(
+            parse_path_condition("x <= 6")
+        )
 
     def test_clear_resets_statistics(self):
         cache = EstimateCache()
-        cache.put(parse_path_condition("x <= 1"), Estimate(0.5, 0.0))
-        cache.get(parse_path_condition("x <= 1"))
+        key = EstimateCache.key_for(parse_path_condition("x <= 1"))
+        cache.put(key, Estimate(0.5, 0.0))
+        cache.get(key)
         cache.clear()
         assert len(cache) == 0
         assert cache.statistics.lookups == 0
 
     def test_hit_rate(self):
         cache = EstimateCache()
-        factor = parse_path_condition("x <= 1")
-        cache.get(factor)
-        cache.put(factor, Estimate(0.5, 0.0))
-        cache.get(factor)
+        key = EstimateCache.key_for(parse_path_condition("x <= 1"))
+        cache.get(key)
+        cache.put(key, Estimate(0.5, 0.0))
+        cache.get(key)
         assert cache.statistics.hit_rate == pytest.approx(0.5)
-
-    def test_contains(self):
-        cache = EstimateCache()
-        factor = parse_path_condition("x <= 1")
-        assert factor not in cache
-        cache.put(factor, Estimate(0.5, 0.0))
-        assert factor in cache

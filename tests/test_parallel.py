@@ -355,15 +355,15 @@ class TestBackendAgreementMatrix:
 class TestThreadSafeCache:
     def test_concurrent_lookups_and_inserts(self):
         cache = EstimateCache()
-        factors = [parse_path_condition(f"x <= {i}") for i in range(8)]
+        keys = [EstimateCache.key_for(parse_path_condition(f"x <= {i}")) for i in range(8)]
         errors = []
 
         def hammer(worker):
             try:
                 for round_index in range(50):
-                    factor = factors[(worker + round_index) % len(factors)]
-                    if cache.get(factor) is None:
-                        cache.put(factor, Estimate.exact(0.5))
+                    key = keys[(worker + round_index) % len(keys)]
+                    if cache.get(key) is None:
+                        cache.put(key, Estimate.exact(0.5))
                     cache.record_shared_hit()
             except Exception as exc:  # pragma: no cover - only on regression
                 errors.append(exc)
@@ -375,7 +375,7 @@ class TestThreadSafeCache:
             thread.join()
 
         assert not errors
-        assert len(cache) == len(factors)
+        assert len(cache) == len(keys)
         statistics = cache.statistics
         # Every iteration does exactly one get and one record_shared_hit:
         # the counters must balance despite 8 threads racing on them.
